@@ -181,6 +181,7 @@ int Run(size_t containers, size_t nodes, const std::string& out_path) {
       .Field("kind", "env")
       .Field("hardware_threads",
              static_cast<long long>(std::thread::hardware_concurrency()))
+      .Field("build_type", bench::BuildType())
       .Field("nodes", static_cast<long long>(nodes))
       .End();
   Record(out, greedy);

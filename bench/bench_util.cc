@@ -174,6 +174,11 @@ std::string Fmt(double value, int precision) {
   return buffer;
 }
 
+std::string BuildType() {
+  const std::string type = MEDEA_BUILD_TYPE;
+  return type.empty() ? "unknown" : type;
+}
+
 std::string FmtBox(const Distribution& d) {
   if (d.Empty()) {
     return "-";

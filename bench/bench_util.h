@@ -79,6 +79,10 @@ void PrintRow(const std::vector<std::string>& cells);
 // Formats a double with the given precision.
 std::string Fmt(double value, int precision = 2);
 
+// CMAKE_BUILD_TYPE of the build that produced this binary ("unknown" when
+// none was set), for the "env" record of BENCH_*.json files.
+std::string BuildType();
+
 // Formats a box plot as "p25/p50/p75 (p5..p99)".
 std::string FmtBox(const Distribution& d);
 

@@ -13,14 +13,14 @@
 //                   [--no-solver-cuts] [--no-solver-pseudo-cost]
 //                   [--metrics-out FILE] [--trace-out FILE]
 //
-// --solver-threads N (default 1) runs each ILP scheduling cycle's
-// branch-and-bound with N worker threads (parallel tree search with work
-// stealing; see docs/solver.md). Only the medea-ilp scheduler uses it.
-//
 // --solver-decompose splits each cycle ILP into the connected components of
-// its variable-row incidence graph and solves them as independent sub-MIPs
-// across the worker budget, with a relax-and-round fast lane for large
-// components (see docs/solver.md). Only the medea-ilp scheduler uses it.
+// its variable-row incidence graph and solves them as independent sub-MIPs,
+// with a relax-and-round fast lane for large components; --solver-threads N
+// (default 1) solves up to N components at once (see docs/solver.md). Only
+// the medea-ilp scheduler uses them.
+//
+// Every numeric flag is range-checked: a malformed or out-of-range value
+// prints an error naming the flag and exits with status 2.
 //
 // --no-solver-cuts disables the root cover/clique cutting planes the ILP
 // scheduler generates from the placement capacity rows by default
@@ -43,9 +43,11 @@
 //   ./cluster_sim_cli --nodes 200 --hbase 12 --tensorflow 8
 //       --gridmix-frac 0.4 --scheduler medea-ilp --minutes 15
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -85,7 +87,7 @@ struct Options {
   // simulated horizon into ~`runtime_wall_ms` of wall time.
   bool runtime_mode = false;
   SimTimeMs runtime_wall_ms = 3000;
-  // Branch-and-bound worker threads for the ILP scheduler's per-cycle solve
+  // Component workers for the ILP scheduler's decomposed per-cycle solve
   // (SchedulerConfig::solver_threads). Must be >= 1.
   int solver_threads = 1;
   // Component-decomposed cycle ILP (SchedulerConfig::solver_decompose).
@@ -133,7 +135,42 @@ std::unique_ptr<LraScheduler> MakeLraScheduler(const Options& options) {
   std::exit(2);
 }
 
+// Parses `text` as a whole integer in [min, max] into `out`. On anything
+// else (trailing characters, out of range) prints a usage error naming the
+// flag and returns false.
+template <typename T>
+bool ParseInt(const std::string& flag, const char* text, long long min, long long max, T* out) {
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(text, &end, 10);
+  if (errno != 0 || end == text || *end != '\0' || value < min || value > max) {
+    std::fprintf(stderr, "invalid value for %s: '%s' (expected an integer in [%lld, %lld])\n",
+                 flag.c_str(), text, min, max);
+    return false;
+  }
+  *out = static_cast<T>(value);
+  return true;
+}
+
+// Same for a real number in [min, max].
+bool ParseDouble(const std::string& flag, const char* text, double min, double max,
+                 double* out) {
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(text, &end);
+  if (errno != 0 || end == text || *end != '\0' || !(value >= min && value <= max)) {
+    std::fprintf(stderr, "invalid value for %s: '%s' (expected a number in [%g, %g])\n",
+                 flag.c_str(), text, min, max);
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
 bool ParseArgs(int argc, char** argv, Options& options) {
+  constexpr long long kMaxNodes = 1000000;
+  constexpr long long kMaxCount = 100000;
+  constexpr long long kMaxMs = 1000LL * 60 * 60 * 24 * 365;  // one year
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     const auto next = [&]() -> const char* {
@@ -143,43 +180,43 @@ bool ParseArgs(int argc, char** argv, Options& options) {
       }
       return argv[++i];
     };
+    bool ok = true;
     if (flag == "--nodes") {
-      options.nodes = static_cast<size_t>(std::atoi(next()));
+      ok = ParseInt(flag, next(), 1, kMaxNodes, &options.nodes);
     } else if (flag == "--racks") {
-      options.racks = static_cast<size_t>(std::atoi(next()));
+      ok = ParseInt(flag, next(), 1, kMaxNodes, &options.racks);
     } else if (flag == "--service-units") {
-      options.service_units = static_cast<size_t>(std::atoi(next()));
+      ok = ParseInt(flag, next(), 1, kMaxNodes, &options.service_units);
     } else if (flag == "--scheduler") {
       options.scheduler = next();
     } else if (flag == "--hbase") {
-      options.hbase = std::atoi(next());
+      ok = ParseInt(flag, next(), 0, kMaxCount, &options.hbase);
     } else if (flag == "--tensorflow") {
-      options.tensorflow = std::atoi(next());
+      ok = ParseInt(flag, next(), 0, kMaxCount, &options.tensorflow);
     } else if (flag == "--gridmix-frac") {
-      options.gridmix_frac = std::atof(next());
+      ok = ParseDouble(flag, next(), 0.0, 1.0, &options.gridmix_frac);
     } else if (flag == "--interval") {
-      options.interval_ms = std::atol(next());
+      ok = ParseInt(flag, next(), 1, kMaxMs, &options.interval_ms);
     } else if (flag == "--minutes") {
-      options.minutes = std::atoi(next());
+      ok = ParseInt(flag, next(), 1, kMaxMs / 60000, &options.minutes);
     } else if (flag == "--migration") {
-      options.migration_ms = std::atol(next());
+      ok = ParseInt(flag, next(), 0, kMaxMs, &options.migration_ms);
     } else if (flag == "--conflict") {
       options.conflict = next();
+      if (options.conflict != "resubmit" && options.conflict != "kill" &&
+          options.conflict != "reserve") {
+        std::fprintf(stderr, "invalid value for --conflict: '%s' (expected resubmit, kill or "
+                     "reserve)\n", options.conflict.c_str());
+        ok = false;
+      }
     } else if (flag == "--seed") {
-      options.seed = static_cast<uint64_t>(std::atoll(next()));
+      ok = ParseInt(flag, next(), 0, std::numeric_limits<long long>::max(), &options.seed);
     } else if (flag == "--runtime") {
       options.runtime_mode = true;
     } else if (flag == "--runtime-wall-ms") {
-      options.runtime_wall_ms = std::atol(next());
+      ok = ParseInt(flag, next(), 1, kMaxMs, &options.runtime_wall_ms);
     } else if (flag == "--solver-threads") {
-      options.solver_threads = std::atoi(next());
-      if (options.solver_threads < 1) {
-        std::fprintf(stderr,
-                     "--solver-threads must be a positive integer, got '%s' "
-                     "(1 = serial branch and bound)\n",
-                     argv[i]);
-        std::exit(2);
-      }
+      ok = ParseInt(flag, next(), 1, 64, &options.solver_threads);
     } else if (flag == "--solver-decompose") {
       options.solver_decompose = true;
     } else if (flag == "--solver-cuts") {
@@ -198,6 +235,9 @@ bool ParseArgs(int argc, char** argv, Options& options) {
       return false;
     } else {
       std::fprintf(stderr, "unknown flag '%s'\n", flag.c_str());
+      return false;
+    }
+    if (!ok) {
       return false;
     }
   }

@@ -15,16 +15,9 @@ PlacementService::PlacementService(ServiceConfig config, ClusterState initial,
     : config_(config),
       epoch_(std::move(initial)),
       plan_queue_(config.plan_queue_capacity),
-      start_time_(std::chrono::steady_clock::now()),
       manager_(std::make_shared<const ConstraintManager>(std::move(manager))) {}
 
 PlacementService::~PlacementService() { Stop(); }
-
-SimTimeMs PlacementService::NowMs() const {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(std::chrono::steady_clock::now() -
-                                                               start_time_)
-      .count();
-}
 
 void PlacementService::Start(const SchedulerFactory& factory) {
   MEDEA_CHECK(!started_);
@@ -68,7 +61,8 @@ void PlacementService::Submit(LraRequest request) {
   }
   ++metrics_.submitted;
   ++outstanding_;
-  pending_.push_back(PendingRequest{std::move(request), NowMs(), 0, /*is_failover=*/false});
+  pending_.push_back(PendingRequest{std::move(request), std::chrono::steady_clock::now(), 0,
+                                    /*is_failover=*/false});
   if (obs::MetricsEnabled()) {
     obs::Count("service.requests");
     obs::SetGauge("service.admission_depth", static_cast<double>(pending_.size()));
@@ -150,12 +144,12 @@ PlanEnvelope PlacementService::PlanBatch(std::vector<PendingRequest> batch,
   PlanEnvelope envelope;
   envelope.lras.reserve(batch.size());
   envelope.attempts.reserve(batch.size());
-  envelope.submit_ms.reserve(batch.size());
+  envelope.submitted.reserve(batch.size());
   envelope.is_failover.reserve(batch.size());
   for (PendingRequest& request : batch) {
     envelope.lras.push_back(std::move(request.request));
     envelope.attempts.push_back(request.attempts);
-    envelope.submit_ms.push_back(request.submit_ms);
+    envelope.submitted.push_back(request.submitted);
     envelope.is_failover.push_back(request.is_failover);
   }
   PlacementProblem problem;
@@ -260,7 +254,6 @@ void PlacementService::CommitEnvelope(PlanEnvelope envelope, BatchOutcome* outco
     outcome->epoch = envelope.snapshot_version;
   }
 
-  const SimTimeMs now = NowMs();
   sync::MutexLock lock(&mu_);
   if (stale) {
     ++metrics_.stale_plans;
@@ -281,8 +274,7 @@ void PlacementService::CommitEnvelope(PlanEnvelope envelope, BatchOutcome* outco
       if (obs::MetricsEnabled()) {
         obs::Count("service.lras_placed");
         // End-to-end placement latency: Submit() -> committed on the cluster.
-        obs::Observe("service.place_latency_ms",
-                     static_cast<double>(now - envelope.submit_ms[i]));
+        obs::Observe("service.place_latency_ms", MsSince(envelope.submitted[i]));
       }
       continue;
     }
@@ -292,7 +284,7 @@ void PlacementService::CommitEnvelope(PlanEnvelope envelope, BatchOutcome* outco
         obs::Count("service.commit_conflicts");
       }
     }
-    RequeueOrRejectLocked(PendingRequest{std::move(envelope.lras[i]), envelope.submit_ms[i],
+    RequeueOrRejectLocked(PendingRequest{std::move(envelope.lras[i]), envelope.submitted[i],
                                          envelope.attempts[i] + 1, envelope.is_failover[i]});
   }
   if (outstanding_ == 0) {
@@ -325,7 +317,7 @@ void PlacementService::RequeueOrRejectLocked(PendingRequest request) {
 
 void PlacementService::NodeDown(NodeId node) {
   obs::Count("service.node_down_events");
-  const SimTimeMs now = NowMs();
+  const SteadyTime now = std::chrono::steady_clock::now();
   std::unordered_map<ApplicationId, LraRequest, std::hash<ApplicationId>> lost;
   size_t containers_lost = 0;
   epoch_.Commit([&](ClusterState& live) {

@@ -142,12 +142,11 @@ class PlacementService {
  private:
   struct PendingRequest {
     LraRequest request;
-    SimTimeMs submit_ms = 0;
+    SteadyTime submitted;
     int attempts = 0;
     bool is_failover = false;
   };
 
-  SimTimeMs NowMs() const;
   void WorkerLoop(LraScheduler* scheduler);
   void CommitterLoop();
 
@@ -177,7 +176,6 @@ class PlacementService {
   const ServiceConfig config_;
   EpochClusterState epoch_;
   PlanQueue plan_queue_;
-  const std::chrono::steady_clock::time_point start_time_;
 
   mutable sync::Mutex mu_;
   sync::CondVar work_cv_;       // pending_ became non-empty (or stopping)

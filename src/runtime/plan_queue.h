@@ -26,6 +26,15 @@
 
 namespace medea::runtime {
 
+using SteadyTime = std::chrono::steady_clock::time_point;
+
+// Fractional milliseconds elapsed since `start`: sub-millisecond placements
+// must not round to 0 in the latency histograms.
+inline double MsSince(SteadyTime start) {
+  return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
+      .count();
+}
+
 // One scheduling cycle's output, in flight from the LRA scheduler thread to
 // the heartbeat loop.
 struct PlanEnvelope {
@@ -33,10 +42,10 @@ struct PlanEnvelope {
   // snapshot the scheduler saw is gone by commit time and the live cluster
   // has moved on — the plan is a *suggestion* (§3.2).
   std::vector<LraRequest> lras;
-  // Per-LRA resubmission attempt counts and submission timestamps
-  // (runtime-clock ms), carried through for metrics and retry caps.
+  // Per-LRA resubmission attempt counts and submission timestamps, carried
+  // through for metrics and retry caps.
   std::vector<int> attempts;
-  std::vector<SimTimeMs> submit_ms;
+  std::vector<SteadyTime> submitted;
   std::vector<bool> is_failover;
   PlacementPlan plan;
   // Value of the runtime's state version when the snapshot was taken; a

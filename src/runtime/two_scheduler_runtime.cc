@@ -93,7 +93,8 @@ void TwoSchedulerRuntime::SubmitLra(LraSpec spec) {
       MEDEA_LOG(kWarning) << "bad app constraint: " << result.status().ToString();
     }
   }
-  pending_lras_.push_back(PendingLra{std::move(spec.request), NowMs(), 0, /*is_failover=*/false});
+  pending_lras_.push_back(PendingLra{std::move(spec.request), std::chrono::steady_clock::now(), 0,
+                                     /*is_failover=*/false});
   lra_work_cv_.Signal();
 }
 
@@ -149,7 +150,8 @@ void TwoSchedulerRuntime::NodeDown(NodeId node) {
   // Failover: resubmit the lost containers through the LRA scheduler; their
   // constraints are still registered with the manager.
   for (auto& [app, request] : lost) {
-    pending_lras_.push_back(PendingLra{std::move(request), now, 0, /*is_failover=*/true});
+    pending_lras_.push_back(PendingLra{std::move(request), std::chrono::steady_clock::now(), 0,
+                                       /*is_failover=*/true});
   }
   if (!lost.empty()) {
     lra_work_cv_.Signal();
@@ -225,15 +227,13 @@ void TwoSchedulerRuntime::LraThreadLoop() {
       if (config_.max_lras_per_cycle > 0) {
         batch = std::min(batch, static_cast<size_t>(config_.max_lras_per_cycle));
       }
-      const SimTimeMs batch_now = NowMs();
       for (size_t i = 0; i < batch; ++i) {
         PendingLra& lra = pending_lras_.front();
         // Fig. 11b's queuing delay: submit -> picked up by a scheduling cycle.
-        obs::Observe("runtime.lra_queue_wait_ms",
-                     static_cast<double>(batch_now - lra.submit_ms));
+        obs::Observe("runtime.lra_queue_wait_ms", MsSince(lra.submitted));
         envelope.lras.push_back(std::move(lra.request));
         envelope.attempts.push_back(lra.attempts);
-        envelope.submit_ms.push_back(lra.submit_ms);
+        envelope.submitted.push_back(lra.submitted);
         envelope.is_failover.push_back(lra.is_failover);
         pending_lras_.pop_front();
       }
@@ -415,15 +415,14 @@ void TwoSchedulerRuntime::CommitEnvelope(PlanEnvelope envelope) {
         obs::Count("runtime.lras_placed");
       }
       // End-to-end placement latency: submission -> committed on the cluster.
-      obs::Observe("runtime.lra_commit_latency_ms",
-                   static_cast<double>(NowMs() - envelope.submit_ms[i]));
+      obs::Observe("runtime.lra_commit_latency_ms", MsSince(envelope.submitted[i]));
       continue;
     }
     if (originally_planned) {
       ++metrics_.commit_conflicts;  // plan existed but the cluster moved on
       obs::Count("runtime.commit_conflicts");
     }
-    RequeueOrReject(PendingLra{std::move(envelope.lras[i]), envelope.submit_ms[i],
+    RequeueOrReject(PendingLra{std::move(envelope.lras[i]), envelope.submitted[i],
                                envelope.attempts[i] + 1, envelope.is_failover[i]});
   }
 }

@@ -166,7 +166,7 @@ class TwoSchedulerRuntime {
  private:
   struct PendingLra {
     LraRequest request;
-    SimTimeMs submit_ms = 0;
+    SteadyTime submitted;
     int attempts = 0;
     bool is_failover = false;
   };

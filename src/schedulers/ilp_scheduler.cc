@@ -611,9 +611,8 @@ PlacementPlan MedeaIlpScheduler::Place(const PlacementProblem& problem) {
 
   solver::MipOptions options;
   options.time_limit_seconds = config_.ilp_time_limit_seconds;
-  // Parallel branch and bound (SchedulerConfig::solver_threads /
-  // --solver-threads): same certified objective, lower wall-clock per cycle
-  // on multi-core hosts.
+  // Component workers for the decomposed solve (SchedulerConfig::
+  // solver_threads / --solver-threads); the branch and bound is serial.
   options.num_threads = config_.solver_threads;
   // Component decomposition (SchedulerConfig::solver_decompose /
   // --solver-decompose): sparse tag graphs separate into independent
@@ -635,13 +634,16 @@ PlacementPlan MedeaIlpScheduler::Place(const PlacementProblem& problem) {
   // symmetric, so branch-and-bound needs a strong incumbent up front to
   // prune. The greedy plan maps 1:1 onto X/S variables (same candidate
   // selector, same flat container order); the solver repairs the continuous
-  // violation/fragmentation variables with one LP.
+  // violation/fragmentation variables with one LP. A mapped greedy plan is
+  // also the fallback when the solve returns no incumbent.
+  PlacementPlan greedy_plan;
+  bool mapped = false;
   if (config_.ilp_warm_start) {
     const obs::ScopedSpan warm_span("ilp.warm_start", "sched");
     GreedyScheduler greedy(GreedyOrdering::kSerial, config_, /*impact_aware=*/true);
-    const PlacementPlan greedy_plan = greedy.Place(problem);
+    greedy_plan = greedy.Place(problem);
     std::vector<double> warm(static_cast<size_t>(builder.model().num_variables()), 0.0);
-    bool mapped = true;
+    mapped = true;
     for (const Assignment& a : greedy_plan.assignments) {
       const FlatContainer* match = nullptr;
       for (const FlatContainer& fc : builder.containers()) {
@@ -689,6 +691,13 @@ PlacementPlan MedeaIlpScheduler::Place(const PlacementProblem& problem) {
 
   if (!solution.HasSolution()) {
     MEDEA_LOG(kWarning) << "ILP solve failed: " << solver::SolveStatusName(solution.status);
+    // Never return less than the warm start: the greedy plan is feasible for
+    // this problem, so a solve that found nothing better still places it.
+    if (mapped) {
+      plan.assignments = std::move(greedy_plan.assignments);
+      plan.lra_placed = std::move(greedy_plan.lra_placed);
+      obs::Count("sched.ilp_greedy_fallback");
+    }
     plan.latency_ms =
         std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
             .count();

@@ -161,10 +161,10 @@ struct SchedulerConfig {
   Resource rmin = Resource(2048, 1);
   // ILP solve budget per cycle.
   double ilp_time_limit_seconds = 2.0;
-  // Branch-and-bound worker threads for the cycle ILP
-  // (MipOptions::num_threads). 1 = serial; >1 explores the tree with a
-  // work-stealing worker pool — same certified objective, lower wall-clock
-  // on multi-core hosts. Exposed on the CLI as --solver-threads.
+  // Component workers for the cycle ILP (MipOptions::num_threads): with
+  // solver_decompose, up to this many independent sub-MIPs are solved
+  // concurrently. Without it the branch and bound is serial and this knob
+  // has no effect. Exposed on the CLI as --solver-threads.
   int solver_threads = 1;
   // Component decomposition for the cycle ILP (MipOptions::decompose): split
   // the placement model into the connected components of its variable-row

@@ -9,9 +9,9 @@
 //      before, only the component accounting recorded.
 //   2. Components are solved largest-first by a pool of
 //      min(num_threads, components) workers pulling from one atomic index.
-//      Each component sub-solve is serial (component-level parallelism
-//      replaces tree-level parallelism) and gets the remaining global
-//      wall-clock budget at dispatch time as its own deadline.
+//      Each component sub-solve is the serial branch and bound and gets the
+//      remaining global wall-clock budget at dispatch time as its own
+//      deadline.
 //   3. Per component: a relax-and-round fast lane (one LP relaxation, then
 //      the root rounding repair from the exact engines applied to a scratch
 //      copy) whose result is accepted only when the solver-side certifier
@@ -47,6 +47,9 @@ namespace medea::solver {
 namespace {
 
 using internal::Clock;
+
+// Cap on MipOptions::num_threads: component workers beyond it are clamped.
+constexpr int kMaxComponentWorkers = 64;
 
 // Path-halving union-find over variable indices.
 class UnionFind {
@@ -243,7 +246,6 @@ void AccumulateStats(const MipStats& in, MipStats* out) {
   out->presolve.redundant_rows += in.presolve.redundant_rows;
   out->presolve.bounds_tightened += in.presolve.bounds_tightened;
   out->reduced_cost_fixed += in.reduced_cost_fixed;
-  out->steals += in.steals;
 }
 
 // Analytic solve of a row-less singleton component: push the variable to
@@ -362,7 +364,7 @@ FastLane TryRelaxAndRound(const Model& sub, const MipOptions& options,
 
 ComponentResult SolveOneComponent(const Model& model, const Component& comp,
                                   const MipOptions& options, bool deadline_active,
-                                  Clock::time_point deadline, int num_components) {
+                                  Clock::time_point deadline) {
   obs::ScopedSpan span("solver.component", "solver");
   ComponentResult res;
   if (comp.rows.empty() && comp.vars.size() == 1) {
@@ -379,11 +381,6 @@ ComponentResult SolveOneComponent(const Model& model, const Component& comp,
   sub_options.decompose = false;
   // The dispatcher certifies the stitched full solution.
   sub_options.certify = false;
-  // Component-level parallelism replaces tree-level parallelism: with
-  // several components in flight each sub-search stays serial; a model that
-  // yielded one real component plus trivia keeps the full worker budget for
-  // its single tree.
-  sub_options.num_threads = num_components > 1 ? 1 : options.num_threads;
   // Sub-searches are compared by certified objective only (tree shape is
   // per-component anyway), so the basis-dependent fixing is pure win here.
   sub_options.reduced_cost_fixing = true;
@@ -500,7 +497,8 @@ Solution SolveMipDecomposed(const Model& model, const MipOptions& options, MipSt
   // workers pulls indices from one atomic counter; each result lands in its
   // own slot, so the only cross-thread traffic is the counter itself.
   std::vector<ComponentResult> results(static_cast<size_t>(num_components));
-  const int workers = std::min(EffectiveThreads(options), num_components);
+  const int workers =
+      std::min(std::clamp(options.num_threads, 1, kMaxComponentWorkers), num_components);
   std::atomic<int> next{0};
   auto drain = [&model, &dec, &options, &results, &next, deadline_active, deadline,
                 num_components]() {
@@ -511,7 +509,7 @@ Solution SolveMipDecomposed(const Model& model, const MipOptions& options, MipSt
       }
       results[static_cast<size_t>(i)] =
           SolveOneComponent(model, dec.components[static_cast<size_t>(i)], options,
-                            deadline_active, deadline, num_components);
+                            deadline_active, deadline);
     }
   };
   if (workers <= 1) {

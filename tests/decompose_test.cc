@@ -385,17 +385,21 @@ TEST(ReducedCostFixingTest, FixingPreservesTheExactObjective) {
 }
 
 TEST(ReducedCostFixingTest, ParallelSearchAgreesWithFixingEnabled) {
-  const Model m = testing::PlacementModel(12, 6, 7);
+  // Four component workers, each running a fixing-enabled sub-search
+  // concurrently, must certify the monolithic objective.
+  const Model m = testing::DecomposablePlacementModel(20, 10, 5, 7);
   const Solution serial = SolveMip(m, ExactOptions());
   ASSERT_EQ(serial.status, SolveStatus::kOptimal);
 
-  MipOptions options = ExactOptions();
+  MipOptions options = DecomposeExact();
   options.reduced_cost_fixing = true;
   options.num_threads = 4;
   MipStats stats;
   const Solution parallel = SolveMip(m, options, &stats);
   ASSERT_EQ(parallel.status, SolveStatus::kOptimal);
   EXPECT_NEAR(parallel.objective, serial.objective, 1e-6);
+  EXPECT_EQ(stats.components, 5);
+  EXPECT_EQ(stats.threads_used, 4);
 }
 
 }  // namespace

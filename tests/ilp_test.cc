@@ -7,6 +7,7 @@
 #include "src/common/rng.h"
 #include "src/common/strings.h"
 #include "src/core/violation.h"
+#include "src/schedulers/greedy.h"
 #include "src/schedulers/ilp_scheduler.h"
 #include "src/solver/lp_reader.h"
 #include "src/solver/mip.h"
@@ -179,6 +180,35 @@ TEST_F(IlpTest, TimeBudgetRespected) {
   // solve must not run unbounded.
   EXPECT_LT(plan.latency_ms, 1500.0);
   EXPECT_EQ(plan.NumPlaced(), 1);  // anytime behaviour: incumbent exists
+}
+
+TEST_F(IlpTest, SolveWithoutIncumbentFallsBackToGreedyPlan) {
+  // The budget has run out before the solve starts, so SolveMip returns no
+  // incumbent whatever the machine speed; Place() must still return the
+  // greedy warm-start plan rather than an empty one.
+  SchedulerConfig config = Config();
+  config.ilp_time_limit_seconds = 1e-9;
+  ASSERT_TRUE(manager_
+                  .AddFromText("{w, {w, 0, 0}, node}", ConstraintOrigin::kApplication,
+                               ApplicationId(1))
+                  .ok());
+  PlacementProblem problem;
+  problem.lras = {Lra(ApplicationId(1), 10, "w")};
+  problem.state = &state_;
+  problem.manager = &manager_;
+  GreedyScheduler greedy(GreedyOrdering::kSerial, config, /*impact_aware=*/true);
+  const PlacementPlan greedy_plan = greedy.Place(problem);
+  ASSERT_EQ(greedy_plan.NumPlaced(), 1);
+
+  MedeaIlpScheduler ilp(config);
+  const PlacementPlan plan = ilp.Place(problem);
+  EXPECT_EQ(ilp.last_stats().status, solver::SolveStatus::kTimeLimit);
+  EXPECT_EQ(plan.lra_placed, greedy_plan.lra_placed);
+  ASSERT_EQ(plan.assignments.size(), greedy_plan.assignments.size());
+  for (size_t i = 0; i < plan.assignments.size(); ++i) {
+    EXPECT_EQ(plan.assignments[i].container_index, greedy_plan.assignments[i].container_index);
+    EXPECT_EQ(plan.assignments[i].node, greedy_plan.assignments[i].node);
+  }
 }
 
 TEST_F(IlpTest, EmptyProblemYieldsEmptyPlan) {

@@ -91,23 +91,46 @@ TEST(ObsThreadTest, ConcurrentWritersReadersAndTogglesAreClean) {
   }
 
   EnableMetrics(true);
-  // Per-writer counters only race against the toggler, so each is at most
-  // kOpsPerWriter; the shared counter is the sum of whatever landed.
-  long long own_total = 0;
+  // While the toggler ran, a writer may land any number of its ops inside a
+  // disabled window (even all of them), and the flag may flip between its
+  // shared and its own Count. So only upper bounds hold for those totals:
+  // each per-writer counter is at most kOpsPerWriter, the shared counter at
+  // most the sum.
+  auto counter = [](const std::string& name) {
+    return MetricsRegistry::Default().CounterNamed(name).value();
+  };
+  auto own_name = [](int w) { return "obs_thread_test.writer_" + std::to_string(w); };
+  std::vector<long long> own_before(kWriters);
   for (int w = 0; w < kWriters; ++w) {
-    const long long value = MetricsRegistry::Default()
-                                .CounterNamed("obs_thread_test.writer_" + std::to_string(w))
-                                .value();
-    EXPECT_GT(value, 0);
-    EXPECT_LE(value, kOpsPerWriter);
-    own_total += value;
+    own_before[static_cast<size_t>(w)] = counter(own_name(w));
+    EXPECT_LE(own_before[static_cast<size_t>(w)], kOpsPerWriter);
   }
-  EXPECT_EQ(MetricsRegistry::Default().CounterNamed("obs_thread_test.shared_counter").value(),
-            own_total);
+  const long long shared_before = counter("obs_thread_test.shared_counter");
+  EXPECT_LE(shared_before, static_cast<long long>(kWriters) * kOpsPerWriter);
+  const auto hist_before =
+      MetricsRegistry::Default().HistogramNamed("obs_thread_test.shared_hist_ms").TakeSnapshot();
+  EXPECT_LE(hist_before.count, static_cast<size_t>(kWriters) * kOpsPerWriter);
+
+  // With the toggler stopped and metrics on, one more write per writer
+  // (from its own thread) must land exactly.
+  std::vector<std::thread> late_writers;
+  for (int w = 0; w < kWriters; ++w) {
+    late_writers.emplace_back([w, &own_name] {
+      Count("obs_thread_test.shared_counter");
+      Count(own_name(w));
+      Observe("obs_thread_test.shared_hist_ms", 0.5);
+    });
+  }
+  for (std::thread& t : late_writers) {
+    t.join();
+  }
+  for (int w = 0; w < kWriters; ++w) {
+    EXPECT_EQ(counter(own_name(w)), own_before[static_cast<size_t>(w)] + 1);
+  }
+  EXPECT_EQ(counter("obs_thread_test.shared_counter"), shared_before + kWriters);
   const auto hist =
       MetricsRegistry::Default().HistogramNamed("obs_thread_test.shared_hist_ms").TakeSnapshot();
-  EXPECT_GT(hist.count, 0u);
-  EXPECT_LE(hist.count, static_cast<size_t>(kWriters) * kOpsPerWriter);
+  EXPECT_EQ(hist.count, hist_before.count + kWriters);
 
   // The trace ring wrapped (far more spans than capacity) without losing
   // structural integrity: full ring, monotone non-negative durations.

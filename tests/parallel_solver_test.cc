@@ -1,11 +1,12 @@
 // Copyright (c) Medea reproduction authors.
-// Parallel branch and bound (MipOptions::num_threads): at every thread
-// count, an exact (zero-gap, unlimited-budget) search must certify the same
-// objective as the serial search — the tree SHAPE may differ (incumbent
-// timing is scheduling-dependent), the proven optimum may not. Also covers
-// the parallel engine's edge cases: infeasible models, root-integral
-// models, budget cutoffs and the per-worker statistics contract.
+// The solver's parallel path: component workers of a decomposed solve
+// (MipOptions::num_threads with MipOptions::decompose). At every worker
+// count, an exact (zero-gap, unlimited-budget) decomposed search must
+// certify the same objective as the serial monolithic search. Also covers
+// the pool's edge cases: infeasible components, root-integral components,
+// budget cutoffs and the worker cap.
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 
@@ -26,19 +27,19 @@ MipOptions ExactOptions(int threads) {
   options.absolute_gap = 1e-9;
   options.certify = true;  // abort on an infeasible incumbent
   options.num_threads = threads;
+  options.decompose = threads > 1;
   return options;
 }
 
 TEST(ParallelSolverTest, AllThreadCountsCertifyTheSerialObjective) {
   for (const auto& [containers, nodes] : testing::MicroBenchSizes()) {
     for (const uint64_t seed : testing::MicroBenchSeeds()) {
-      const Model m = testing::PlacementModel(containers, nodes, seed);
+      const Model m = testing::DecomposablePlacementModel(containers, nodes, 2, seed);
       const std::string label = std::to_string(containers) + "x" +
                                 std::to_string(nodes) + " seed " +
                                 std::to_string(seed);
 
-      MipStats serial_stats;
-      const Solution serial = SolveMip(m, ExactOptions(1), &serial_stats);
+      const Solution serial = SolveMip(m, ExactOptions(1));
       ASSERT_EQ(serial.status, SolveStatus::kOptimal) << label;
 
       for (const int threads : {2, 4}) {
@@ -57,21 +58,8 @@ TEST(ParallelSolverTest, AllThreadCountsCertifyTheSerialObjective) {
             verify::CertifySolution(m, parallel, &stats, certify_options);
         EXPECT_TRUE(report.ok())
             << label << " threads " << threads << ": " << report.ToString();
-
-        // Per-worker statistics contract: one entry per worker, and the
-        // breakdown must sum to the headline counters.
-        EXPECT_EQ(stats.threads_used, threads) << label;
-        ASSERT_EQ(static_cast<int>(stats.per_worker.size()), threads) << label;
-        long long worker_nodes = 0;
-        long long worker_pivots = 0;
-        long long worker_steals = 0;
-        for (const MipStats::WorkerStats& w : stats.per_worker) {
-          worker_nodes += w.nodes_explored;
-          worker_pivots += w.total_pivots;
-          worker_steals += w.steals;
-        }
-        EXPECT_EQ(worker_nodes, stats.nodes_explored) << label;
-        EXPECT_EQ(worker_steals, stats.steals) << label;
+        // One worker per component, capped by the worker count.
+        EXPECT_EQ(stats.threads_used, std::min(threads, stats.components)) << label;
         EXPECT_FALSE(stats.hit_time_limit) << label;
         EXPECT_FALSE(stats.hit_node_limit) << label;
       }
@@ -80,40 +68,52 @@ TEST(ParallelSolverTest, AllThreadCountsCertifyTheSerialObjective) {
 }
 
 TEST(ParallelSolverTest, InfeasibleModelIsProvenInfeasibleInParallel) {
+  // Two components; the second is infeasible, which proves the whole model
+  // infeasible.
   Model m;
+  const VarIndex a = m.AddBinary(1.0, "a");
+  const VarIndex b = m.AddBinary(1.0, "b");
+  m.AddRow({{a, 1.0}, {b, 1.0}}, RowSense::kLessEqual, 1.0);
   const VarIndex x = m.AddBinary(1.0, "x");
   const VarIndex y = m.AddBinary(1.0, "y");
   m.AddRow({{x, 1.0}, {y, 1.0}}, RowSense::kGreaterEqual, 3.0);  // max 2
   m.SetMaximize(true);
   MipOptions options = ExactOptions(4);
-  options.presolve = false;  // make branch and bound prove it, not presolve
+  options.presolve = false;  // make the component search prove it, not presolve
   const Solution solution = SolveMip(m, options);
   EXPECT_EQ(solution.status, SolveStatus::kInfeasible);
   EXPECT_FALSE(solution.HasSolution());
 }
 
 TEST(ParallelSolverTest, RootIntegralModelSolvesWithoutBranching) {
-  // LP relaxation is integral at the root: the parallel search must settle
-  // it in a single node without deadlocking on an empty frontier.
+  // Every component's LP relaxation is integral at the root: the workers
+  // must settle each without branching.
   Model m;
   const VarIndex x = m.AddBinary(2.0, "x");
   m.AddBinary(1.0, "y");  // unconstrained binary: integral at the root
   m.AddRow({{x, 1.0}}, RowSense::kLessEqual, 1.0);
   m.SetMaximize(true);
+  MipOptions options = ExactOptions(4);
+  options.presolve = false;  // keep both components for the workers
   MipStats stats;
-  const Solution solution = SolveMip(m, ExactOptions(4), &stats);
+  const Solution solution = SolveMip(m, options, &stats);
   ASSERT_EQ(solution.status, SolveStatus::kOptimal);
   EXPECT_NEAR(solution.objective, 3.0, 1e-9);
+  EXPECT_EQ(stats.components, 2);
+  EXPECT_LE(stats.nodes_explored, 1);
 }
 
 TEST(ParallelSolverTest, NodeLimitLatchesExactlyOnceAcrossWorkers) {
-  const Model m = testing::PlacementModel(16, 8, 11);
+  // The cap applies to each component's search; any worker exhausting it
+  // must surface in the merged statistics.
+  const Model m = testing::DecomposablePlacementModel(40, 20, 4, 11);
   MipOptions options = ExactOptions(4);
   options.certify = false;  // a cutoff incumbent need not be optimal
-  // Root cuts shrink this search to a couple of nodes; disable them so the
-  // frontier is deep enough for every worker to race the 8-node budget.
+  options.relax_and_round = false;  // every component runs the exact search
+  // Root cuts shrink these searches to a couple of nodes; disable them so
+  // the trees are deep enough to hit the 2-node budget.
   options.cuts.enable = false;
-  options.max_nodes = 8;
+  options.max_nodes = 2;
   MipStats stats;
   const Solution solution = SolveMip(m, options, &stats);
   EXPECT_TRUE(stats.hit_node_limit);
@@ -123,7 +123,7 @@ TEST(ParallelSolverTest, NodeLimitLatchesExactlyOnceAcrossWorkers) {
 }
 
 TEST(ParallelSolverTest, TimeLimitProducesAnytimeBehaviour) {
-  const Model m = testing::PlacementModel(20, 10, 11);
+  const Model m = testing::DecomposablePlacementModel(40, 20, 4, 11);
   MipOptions options = ExactOptions(4);
   options.certify = false;
   options.time_limit_seconds = 0.05;
@@ -132,7 +132,7 @@ TEST(ParallelSolverTest, TimeLimitProducesAnytimeBehaviour) {
   // Either the tiny budget was enough (optimal) or the search was cut off —
   // evidenced by the latched deadline flag or by node LPs clipped to their
   // fair share of the dwindling budget (docs/solver.md "Time limits") — and
-  // any returned incumbent must still be feasible.
+  // any returned (stitched) incumbent must still be feasible.
   if (solution.status != SolveStatus::kOptimal) {
     EXPECT_TRUE(stats.hit_time_limit || stats.lp_failures > 0);
   }
@@ -142,7 +142,7 @@ TEST(ParallelSolverTest, TimeLimitProducesAnytimeBehaviour) {
 }
 
 TEST(ParallelSolverTest, OversizedThreadCountIsClamped) {
-  const Model m = testing::PlacementModel(10, 5, 3);
+  const Model m = testing::DecomposablePlacementModel(20, 10, 5, 3);
   MipOptions options = ExactOptions(1000);
   MipStats stats;
   const Solution solution = SolveMip(m, options, &stats);

@@ -2,7 +2,8 @@
 // Functional tests for the TwoSchedulerRuntime (src/runtime): the two-thread
 // pipeline places LRAs correctly, constraints are registered and enforced,
 // task jobs run to completion, node failures trigger failover resubmission,
-// and stale plans are revalidated rather than blindly committed. The heavy
+// and stale plans are revalidated rather than blindly committed. Also the
+// PlacementService's synchronous drain and its latency metric. The heavy
 // concurrency torture lives in runtime_stress_test.cc; these tests assert
 // functional behavior with deterministic workloads.
 
@@ -11,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/obs/metrics.h"
+#include "src/runtime/placement_service.h"
 #include "src/runtime/two_scheduler_runtime.h"
 #include "src/schedulers/greedy.h"
 #include "src/sim/runtime_driver.h"
@@ -138,6 +141,39 @@ TEST(RuntimeDriverTest, ReplaysTimedWorkload) {
   const RuntimeMetrics metrics = driver.Run(/*horizon_ms=*/60);
   EXPECT_EQ(metrics.lras_placed, 2);
   EXPECT_EQ(metrics.tasks_completed, 2);
+}
+
+TEST(PlacementServiceTest, RunSynchronousRecordsSubMillisecondPlaceLatency) {
+  // Greedy placements of small LRAs take well under a millisecond; the
+  // submit-to-commit latency must still be recorded as a positive
+  // fractional value, not truncated to 0.
+  obs::EnableMetrics(true);
+  obs::MetricsRegistry::Default().Reset();
+  ClusterState initial =
+      ClusterBuilder().NumNodes(24).NumRacks(4).NumUpgradeDomains(4).NumServiceUnits(4).Build();
+  ConstraintManager manager(initial.groups_ptr());
+  ServiceConfig config;
+  config.max_batch = 1;
+  PlacementService service(config, std::move(initial), std::move(manager));
+  constexpr int kLras = 10;
+  for (int i = 0; i < kLras; ++i) {
+    LraSpec spec;
+    service.WithManager([&](ConstraintManager& m) {
+      spec = MakeGenericLra(ApplicationId(static_cast<uint32_t>(1 + i)), m.tags(), 2, "svc");
+    });
+    service.Submit(std::move(spec.request));
+  }
+  const auto scheduler = MakeScheduler();
+  const std::vector<BatchOutcome> outcomes = service.RunSynchronous(*scheduler);
+  EXPECT_EQ(static_cast<int>(outcomes.size()), kLras);
+  EXPECT_EQ(service.metrics().lras_placed, kLras);
+
+  const auto latency = obs::MetricsRegistry::Default()
+                           .HistogramNamed("service.place_latency_ms")
+                           .TakeSnapshot();
+  EXPECT_EQ(latency.count, static_cast<size_t>(kLras));
+  EXPECT_GT(latency.min_ms, 0.0);
+  obs::EnableMetrics(false);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "src/solver/mip.h"
 #include "src/solver/model.h"
 #include "src/solver/simplex.h"
+#include "src/solver/testing/placement_model.h"
 
 namespace medea::solver {
 namespace {
@@ -220,6 +221,33 @@ TEST(MipTest, TimeLimitReturnsIncumbent) {
   const Solution s = SolveMip(m, opts);
   EXPECT_TRUE(s.HasSolution());
   EXPECT_TRUE(m.IsFeasible(s.values, 1e-6));
+}
+
+TEST(MipTest, NodeLimitStopsTheSearch) {
+  // Without root cuts this placement model needs a real tree, so an 8-node
+  // cap interrupts it: the cap latches hit_node_limit (not the deadline),
+  // no more than 8 nodes are explored, and an interrupted search never
+  // claims optimality.
+  const Model m = testing::PlacementModel(16, 8, 11);
+  MipOptions opts;
+  opts.time_limit_seconds = 0.0;  // no deadline: only the node cap can stop it
+  opts.absolute_gap = 1e-9;
+  opts.relative_gap = 0.0;
+  opts.cuts.enable = false;
+  MipStats full_stats;
+  ASSERT_EQ(SolveMip(m, opts, &full_stats).status, SolveStatus::kOptimal);
+  ASSERT_GT(full_stats.nodes_explored, 8);
+
+  opts.max_nodes = 8;
+  MipStats stats;
+  const Solution s = SolveMip(m, opts, &stats);
+  EXPECT_TRUE(stats.hit_node_limit);
+  EXPECT_FALSE(stats.hit_time_limit);
+  EXPECT_LE(stats.nodes_explored, 8);
+  EXPECT_NE(s.status, SolveStatus::kOptimal);
+  if (s.HasSolution()) {
+    EXPECT_TRUE(m.IsFeasible(s.values, 1e-5));
+  }
 }
 
 TEST(ModelTest, RowTermMerging) {
