@@ -99,7 +99,7 @@ DesignResult RunDesign(bool single_scheduler, double services_fraction) {
   ClusterState state = MakeCluster();
   ConstraintManager manager(state.groups_ptr());
   MedeaIlpScheduler ilp(single_scheduler ? FullModelConfig() : Config());
-  TaskScheduler tasks(&state);
+  TaskScheduler tasks;
 
   const double total_mb = static_cast<double>(state.TotalCapacity().memory_mb);
   const int instances =
@@ -169,7 +169,7 @@ DesignResult RunDesign(bool single_scheduler, double services_fraction) {
                         0);
         // Heartbeat allocation: off the solver path, so it does not
         // enter solver_busy_ms (that is the whole point of the design).
-        tasks.Tick(0);
+        tasks.Tick(state, 0);
       }
     }
   }

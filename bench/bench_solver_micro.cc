@@ -12,6 +12,7 @@
 // followed by the dual-restart and decomposition records and an "env"
 // record (hardware threads, build type).
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -244,11 +245,13 @@ int RunRestartMicrobench(bench::JsonRecords& out) {
 // Block-diagonal placement models (sparse tag graphs: containers only have
 // candidate nodes inside their own block) solved twice with exact gaps —
 // once by the monolithic (serial) search, once with MipOptions::decompose
-// and 4 component workers — and the certified objectives compared. Branch and bound is exponential in
-// the component size, so the decomposed path's k small trees beat the one
-// big tree by orders of magnitude; tools/check_bench.py enforces a speedup
-// floor and the component-count sanity (components == blocks) on the
-// emitted "decompose" records.
+// and 4 component workers — and the certified objectives compared. Branch
+// and bound is exponential in the component size, so the decomposed path's
+// k small trees beat the one big tree by orders of magnitude;
+// tools/check_bench.py enforces a speedup floor and the component-count
+// sanity (components == blocks) on the emitted "decompose" records. Each side's wall time is the median over
+// kRepetitions sweeps of the seeds, so one preempted solve on a shared
+// machine does not move the ratio.
 int RunDecompositionSweep(bench::JsonRecords& out) {
   bench::PrintHeader("Solver micro: monolithic vs component-decomposed",
                      "decomposed solves of block-diagonal models must certify the "
@@ -265,13 +268,18 @@ int RunDecompositionSweep(bench::JsonRecords& out) {
   // Seeds where the monolithic search completes within the node cap (the
   // comparison needs both sides to certify optimality).
   const std::vector<uint64_t> kSeeds = {3, 5, 13};
+  constexpr int kRepetitions = 5;
+  const auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
 
   int failures = 0;
   for (const Tier& tier : kTiers) {
     const std::string label =
         std::to_string(tier.containers) + "x" + std::to_string(tier.nodes);
-    double mono_wall = 0.0;
-    double dec_wall = 0.0;
+    std::vector<double> mono_walls(kRepetitions, 0.0);
+    std::vector<double> dec_walls(kRepetitions, 0.0);
     long long mono_nodes = 0;
     long long dec_nodes = 0;
     int components = 0;
@@ -287,8 +295,14 @@ int RunDecompositionSweep(bench::JsonRecords& out) {
       const RunResult mono = RunOnce(m, /*incremental=*/true);
       const RunResult dec =
           RunOnce(m, /*incremental=*/true, /*threads=*/4, /*decompose=*/true);
-      mono_wall += mono.wall_seconds;
-      dec_wall += dec.wall_seconds;
+      mono_walls[0] += mono.wall_seconds;
+      dec_walls[0] += dec.wall_seconds;
+      // Repeats for timing only: the searches are deterministic.
+      for (int rep = 1; rep < kRepetitions; ++rep) {
+        mono_walls[static_cast<size_t>(rep)] += RunOnce(m, /*incremental=*/true).wall_seconds;
+        dec_walls[static_cast<size_t>(rep)] +=
+            RunOnce(m, /*incremental=*/true, /*threads=*/4, /*decompose=*/true).wall_seconds;
+      }
       mono_nodes += mono.stats.nodes_explored;
       dec_nodes += dec.stats.nodes_explored;
       components = dec.stats.components;
@@ -300,6 +314,8 @@ int RunDecompositionSweep(bench::JsonRecords& out) {
                          std::fabs(mono.solution.objective - dec.solution.objective) < 1e-6;
       components_ok = components_ok && dec.stats.components == tier.blocks;
     }
+    const double mono_wall = median(mono_walls);
+    const double dec_wall = median(dec_walls);
     const double speedup = dec_wall > 0.0 ? mono_wall / dec_wall : 0.0;
     out.Begin()
         .Field("kind", "decompose")
@@ -309,6 +325,7 @@ int RunDecompositionSweep(bench::JsonRecords& out) {
         .Field("components", components)
         .Field("components_ok", components_ok)
         .Field("seeds", static_cast<long long>(kSeeds.size()))
+        .Field("repetitions", static_cast<long long>(kRepetitions))
         .Field("mono_wall_seconds", mono_wall)
         .Field("decomposed_wall_seconds", dec_wall)
         .Field("mono_nodes", mono_nodes)

@@ -28,10 +28,10 @@
 // pseudo-cost to most-fractional branching (see docs/solver.md). Both exist
 // for ablations; the defaults are on.
 //
-// With --runtime the scenario is replayed through the real concurrent
-// TwoSchedulerRuntime (src/runtime/) — actual scheduler + heartbeat
-// threads, wall-clock compressed to --runtime-wall-ms — instead of the
-// deterministic discrete-event simulator.
+// With --runtime the scenario is replayed through the concurrent
+// PlacementService (src/runtime/) — real planner, committer and task
+// heartbeat threads, wall-clock compressed to --runtime-wall-ms — instead
+// of the deterministic discrete-event simulator.
 //
 // --metrics-out writes a JSON-lines snapshot of the process-wide
 // MetricsRegistry (src/obs) at exit; --trace-out writes a Chrome
@@ -82,8 +82,8 @@ struct Options {
   SimTimeMs migration_ms = 0;
   std::string conflict = "resubmit";
   uint64_t seed = 42;
-  // Concurrent mode: drive the same workload through the two-thread
-  // TwoSchedulerRuntime instead of the event simulator, compressing the
+  // Concurrent mode: drive the same workload through the threaded
+  // PlacementService instead of the event simulator, compressing the
   // simulated horizon into ~`runtime_wall_ms` of wall time.
   bool runtime_mode = false;
   SimTimeMs runtime_wall_ms = 3000;
@@ -284,23 +284,30 @@ class ObsSinks {
 };
 
 // --runtime: same workload, but replayed in wall-clock time against the
-// concurrent TwoSchedulerRuntime (LRA scheduler thread + heartbeat thread).
-// The simulated horizon is compressed into ~runtime_wall_ms.
+// threaded PlacementService (one planner worker, the committer and the task
+// heartbeat). The simulated horizon is compressed into ~runtime_wall_ms.
 int RunRuntimeMode(const Options& options) {
-  runtime::RuntimeConfig config;
-  config.num_nodes = options.nodes;
-  config.num_racks = options.racks;
-  config.num_upgrade_domains = options.racks;
-  config.num_service_units = options.service_units;
+  runtime::ServiceConfig config;
+  // §3.2's single LRA scheduler.
+  config.num_workers = 1;
   const SimTimeMs horizon = static_cast<SimTimeMs>(options.minutes) * 60000;
   const SimTimeMs wall = std::max<SimTimeMs>(options.runtime_wall_ms, 100);
   const double compress = std::max(1.0, static_cast<double>(horizon) / static_cast<double>(wall));
   if (options.migration_ms > 0) {
     config.migration_every_heartbeats = std::max<int>(
         1, static_cast<int>(static_cast<double>(options.migration_ms) / compress /
-                            static_cast<double>(config.heartbeat_period.count())));
+                            static_cast<double>(
+                                runtime::PlacementService::kHeartbeatPeriod.count())));
   }
-  RuntimeDriver driver(config, MakeLraScheduler(options));
+  ClusterState cluster = ClusterBuilder()
+                             .NumNodes(options.nodes)
+                             .NumRacks(options.racks)
+                             .NumUpgradeDomains(options.racks)
+                             .NumServiceUnits(options.service_units)
+                             .Build();
+  const Resource total_capacity = cluster.TotalCapacity();
+  RuntimeDriver driver(config, std::move(cluster),
+                       [&options] { return MakeLraScheduler(options); });
 
   const auto compressed = [&](SimTimeMs t) {
     return static_cast<SimTimeMs>(static_cast<double>(t) / compress);
@@ -309,8 +316,6 @@ int RunRuntimeMode(const Options& options) {
   // GridMix batch stream, durations compressed to the wall-clock scale.
   GridMixGenerator gridmix(GridMixConfig{}, options.seed);
   Rng arrivals(options.seed + 1);
-  const Resource total_capacity =
-      config.node_capacity * static_cast<int64_t>(config.num_nodes);
   auto jobs = gridmix.JobsForMemoryFraction(total_capacity, options.gridmix_frac);
   SimTimeMs t = 0;
   for (auto& job : jobs) {
@@ -320,8 +325,8 @@ int RunRuntimeMode(const Options& options) {
       task.duration_ms = std::max<SimTimeMs>(1, compressed(task.duration_ms));
     }
     driver.At(compressed(std::min(t, horizon - 1)),
-              [job = std::move(job)](runtime::TwoSchedulerRuntime& rt) mutable {
-                rt.SubmitTaskJob(std::move(job));
+              [job = std::move(job)](runtime::PlacementService& service) mutable {
+                service.SubmitTaskJob(std::move(job));
               });
   }
 
@@ -332,29 +337,28 @@ int RunRuntimeMode(const Options& options) {
     const ApplicationId id(app++);
     driver.At(compressed(static_cast<SimTimeMs>(
                   lra_arrivals.NextBounded(static_cast<uint64_t>(horizon / 2)))),
-              [id](runtime::TwoSchedulerRuntime& rt) {
-                rt.SubmitLra(rt.BuildSpec(
-                    [&](TagPool& tags) { return MakeHBaseInstance(id, tags, 10); }));
+              [id](runtime::PlacementService& service) {
+                service.SubmitSpec([&](TagPool& tags) { return MakeHBaseInstance(id, tags, 10); });
               });
   }
   for (int i = 0; i < options.tensorflow; ++i) {
     const ApplicationId id(app++);
     driver.At(compressed(static_cast<SimTimeMs>(
                   lra_arrivals.NextBounded(static_cast<uint64_t>(horizon / 2)))),
-              [id](runtime::TwoSchedulerRuntime& rt) {
-                rt.SubmitLra(rt.BuildSpec(
-                    [&](TagPool& tags) { return MakeTensorFlowInstance(id, tags, 8, 2); }));
+              [id](runtime::PlacementService& service) {
+                service.SubmitSpec(
+                    [&](TagPool& tags) { return MakeTensorFlowInstance(id, tags, 8, 2); });
               });
   }
 
-  const runtime::RuntimeMetrics metrics = driver.Run(wall);
+  const runtime::ServiceMetrics metrics = driver.Run(wall);
 
   ViolationReport report;
   double memory_utilization = 0.0;
   double fragmented = 0.0;
-  driver.runtime().WithStateLocked([&](const ClusterState& state,
-                                       const ConstraintManager& manager) {
-    report = ConstraintEvaluator::EvaluateAll(state, manager);
+  const auto manager = driver.service().manager_snapshot();
+  driver.service().WithLiveState([&](const ClusterState& state) {
+    report = ConstraintEvaluator::EvaluateAll(state, *manager);
     const Resource total = state.TotalCapacity();
     memory_utilization = total.memory_mb == 0
                              ? 0.0
@@ -365,14 +369,14 @@ int RunRuntimeMode(const Options& options) {
 
   std::printf("=== %s (concurrent runtime) on %zu nodes, %lld ms wall ===\n",
               options.scheduler.c_str(), options.nodes, static_cast<long long>(wall));
-  std::printf("LRA cycles / heartbeats:  %d / %d\n", metrics.lra_cycles, metrics.heartbeats);
-  std::printf("LRAs placed/rejected:     %d / %d (resubmissions %d, conflicts %d, stale "
-              "plans %d)\n",
-              metrics.lras_placed, metrics.lras_rejected, metrics.lra_resubmissions,
+  std::printf("LRA cycles / heartbeats:  %lld / %lld\n", metrics.batches, metrics.heartbeats);
+  std::printf("LRAs placed/rejected:     %lld / %lld (resubmissions %lld, conflicts %lld, stale "
+              "plans %lld)\n",
+              metrics.lras_placed, metrics.lras_rejected, metrics.resubmissions,
               metrics.commit_conflicts, metrics.stale_plans);
-  std::printf("tasks completed:          %d\n", metrics.tasks_completed);
+  std::printf("tasks completed:          %lld\n", metrics.tasks_completed);
   if (options.migration_ms > 0) {
-    std::printf("containers migrated:      %d\n", metrics.migrations);
+    std::printf("containers migrated:      %lld\n", metrics.migrations);
   }
   std::printf("constraint violations:    %d / %d subjects (%.1f%%)\n", report.violated_subjects,
               report.total_subjects, 100.0 * report.ViolationFraction());

@@ -81,6 +81,19 @@ class EpochClusterState {
     return Publish();
   }
 
+  // Like Commit, for writers that often find nothing to do (a heartbeat
+  // with no due work): `fn(ClusterState&)` returns whether it changed the
+  // state, and only a change publishes a new epoch. Returns that flag.
+  template <typename Fn>
+  bool CommitIfChanged(Fn&& fn) MEDEA_EXCLUDES(writer_mu_, publish_mu_) {
+    sync::MutexLock lock(&writer_mu_);
+    if (!fn(working_)) {
+      return false;
+    }
+    Publish();
+    return true;
+  }
+
   // Read-only access to the live working state under the writer lock, for
   // callers that need the latest truth rather than a snapshot (stale-plan
   // revalidation, end-of-run audits).

@@ -1,5 +1,7 @@
 #include "src/core/constraint_manager.h"
 
+#include <algorithm>
+
 #include "src/common/strings.h"
 #include "src/core/constraint_parser.h"
 
@@ -90,6 +92,18 @@ Result<ConstraintId> ConstraintManager::AddFromText(std::string_view text, Const
   parsed->origin = origin;
   parsed->owner = owner;
   return Add(std::move(*parsed));
+}
+
+Status ConstraintManager::AddOperatorConstraint(const std::string& text) {
+  if (std::find(operator_texts_.begin(), operator_texts_.end(), text) != operator_texts_.end()) {
+    return Status::Ok();
+  }
+  auto result = AddFromText(text, ConstraintOrigin::kOperator);
+  if (!result.ok()) {
+    return result.status();
+  }
+  operator_texts_.push_back(text);
+  return Status::Ok();
 }
 
 Status ConstraintManager::Remove(ConstraintId id) {

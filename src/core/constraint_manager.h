@@ -43,6 +43,12 @@ class ConstraintManager {
   Result<ConstraintId> AddFromText(std::string_view text, ConstraintOrigin origin,
                                    ApplicationId owner = ApplicationId::Invalid());
 
+  // Registers a cluster-operator constraint from `text`, once: a text
+  // already registered this way is a no-op. Operator constraints are
+  // cluster-wide, so every LRA that ships the same shared constraint
+  // (e.g. a template's per-node cap) adds it only the first time.
+  Status AddOperatorConstraint(const std::string& text);
+
   Status Remove(ConstraintId id);
 
   // Drops all constraints owned by `app` (called when an LRA finishes).
@@ -70,6 +76,8 @@ class ConstraintManager {
   std::shared_ptr<const NodeGroupRegistry> groups_;
   std::map<uint32_t, PlacementConstraint> constraints_;  // ordered for determinism
   uint32_t next_id_ = 0;
+  // Texts registered through AddOperatorConstraint (the dedup key).
+  std::vector<std::string> operator_texts_;
 };
 
 }  // namespace medea

@@ -9,9 +9,10 @@
 // can stay instrumented without unbounded memory growth; the exporter
 // reports how many spans were dropped. Thread identity is a small
 // per-thread integer plus an optional name registered by the thread itself
-// (the runtime names its threads "medea-lra" / "medea-heartbeat"), which
-// Perfetto shows as separate tracks — the two-scheduler overlap is directly
-// visible.
+// (the placement service names its threads "medea-svc-plan",
+// "medea-svc-commit" and "medea-svc-beat"), which Perfetto shows as
+// separate tracks — the overlap of planning, committing and the task
+// heartbeat is directly visible.
 //
 // Cost model mirrors src/obs/metrics.h: when the recorder is disabled (the
 // default), ScopedSpan is one relaxed atomic load — no clock read, no lock.

@@ -1,20 +1,35 @@
 #include "src/runtime/placement_service.h"
 
 #include <algorithm>
+#include <string>
 #include <unordered_map>
 #include <utility>
 
 #include "src/common/logging.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
+#include "src/schedulers/migration.h"
 
 namespace medea::runtime {
+namespace {
+
+// Names the calling thread's trace track, only while tracing: the name is a
+// lasting allocation in the thread's malloc arena, and registering one from
+// every short-lived service thread raised a bulk benchmark's peak RSS by
+// about 10 MB.
+void NameTraceTrack(const char* name) {
+  if (obs::TraceRecorder::Default().enabled()) {
+    obs::SetCurrentThreadName(name);
+  }
+}
+
+}  // namespace
 
 PlacementService::PlacementService(ServiceConfig config, ClusterState initial,
                                    ConstraintManager manager)
-    : config_(config),
+    : config_(std::move(config)),
       epoch_(std::move(initial)),
-      plan_queue_(config.plan_queue_capacity),
+      plan_queue_(config_.plan_queue_capacity),
       manager_(std::make_shared<const ConstraintManager>(std::move(manager))) {}
 
 PlacementService::~PlacementService() { Stop(); }
@@ -31,6 +46,7 @@ void PlacementService::Start(const SchedulerFactory& factory) {
     workers_.emplace_back("medea-svc-plan", [this, scheduler] { WorkerLoop(scheduler); });
   }
   committer_ = sync::Thread("medea-svc-commit", [this] { CommitterLoop(); });
+  heartbeat_ = sync::Thread("medea-svc-beat", [this] { HeartbeatLoop(); });
 }
 
 void PlacementService::Stop() {
@@ -49,6 +65,12 @@ void PlacementService::Stop() {
   plan_queue_.Close();
   workers_.clear();
   committer_.Join();
+  {
+    sync::MutexLock lock(&task_mu_);
+    tasks_.stop = true;
+    task_cv_.SignalAll();
+  }
+  heartbeat_.Join();
 }
 
 void PlacementService::Submit(LraRequest request) {
@@ -70,6 +92,42 @@ void PlacementService::Submit(LraRequest request) {
   work_cv_.Signal();
 }
 
+void PlacementService::SubmitSpec(const std::function<LraSpec(TagPool&)>& build) {
+  LraSpec spec;
+  WithManager([&](ConstraintManager& manager) {
+    spec = build(manager.tags());
+    for (const std::string& text : spec.shared_constraints) {
+      const Status status = manager.AddOperatorConstraint(text);
+      if (!status.ok()) {
+        MEDEA_LOG(kWarning) << "bad shared constraint: " << status.ToString();
+      }
+    }
+    for (const std::string& text : spec.app_constraints) {
+      auto result = manager.AddFromText(text, ConstraintOrigin::kApplication, spec.request.app);
+      if (!result.ok()) {
+        MEDEA_LOG(kWarning) << "bad app constraint: " << result.status().ToString();
+      }
+    }
+  });
+  Submit(std::move(spec.request));
+}
+
+void PlacementService::SubmitTaskJob(std::vector<TaskRequest> tasks) {
+  sync::MutexLock lock(&task_mu_);
+  if (!tasks_.scheduler.has_value()) {
+    tasks_.scheduler.emplace();
+  }
+  tasks_.scheduler->SubmitJob(tasks_.next_app, "default", std::move(tasks), NowMs());
+  tasks_.next_app = ApplicationId(tasks_.next_app.value + 1);
+  task_cv_.Signal();
+}
+
+SimTimeMs PlacementService::NowMs() const {
+  return static_cast<SimTimeMs>(std::chrono::duration_cast<std::chrono::milliseconds>(
+                                    std::chrono::steady_clock::now() - start_time_)
+                                    .count());
+}
+
 void PlacementService::WithManager(const std::function<void(ConstraintManager&)>& fn) {
   sync::MutexLock lock(&mu_);
   MutateManagerLocked(fn);
@@ -87,13 +145,12 @@ void PlacementService::MutateManagerLocked(const std::function<void(ConstraintMa
   manager_ = std::move(next);
 }
 
-bool PlacementService::NextBatchBlocking(std::vector<PendingRequest>* batch,
-                                         std::shared_ptr<const ConstraintManager>* manager) {
+bool PlacementService::NextBatch(bool wait, std::vector<PendingRequest>* batch) {
   sync::MutexLock lock(&mu_);
-  while (pending_.empty() && !stopping_) {
+  while (wait && pending_.empty() && !stopping_) {
     work_cv_.Wait(&mu_);
   }
-  if (stopping_) {
+  if (stopping_ || pending_.empty()) {
     return false;
   }
   const size_t n = std::min(config_.max_batch, pending_.size());
@@ -103,7 +160,6 @@ bool PlacementService::NextBatchBlocking(std::vector<PendingRequest>* batch,
     batch->push_back(std::move(pending_.front()));
     pending_.pop_front();
   }
-  *manager = manager_;
   ++metrics_.batches;
   admission_cv_.SignalAll();
   if (!pending_.empty()) {
@@ -112,24 +168,6 @@ bool PlacementService::NextBatchBlocking(std::vector<PendingRequest>* batch,
   if (obs::MetricsEnabled()) {
     obs::SetGauge("service.admission_depth", static_cast<double>(pending_.size()));
   }
-  return true;
-}
-
-bool PlacementService::NextBatchNow(std::vector<PendingRequest>* batch,
-                                    std::shared_ptr<const ConstraintManager>* manager) {
-  sync::MutexLock lock(&mu_);
-  if (pending_.empty()) {
-    return false;
-  }
-  const size_t n = std::min(config_.max_batch, pending_.size());
-  batch->clear();
-  batch->reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    batch->push_back(std::move(pending_.front()));
-    pending_.pop_front();
-  }
-  *manager = manager_;
-  ++metrics_.batches;
   return true;
 }
 
@@ -168,9 +206,9 @@ PlanEnvelope PlacementService::PlanBatch(std::vector<PendingRequest> batch,
 }
 
 void PlacementService::WorkerLoop(LraScheduler* scheduler) {
+  NameTraceTrack("medea-svc-plan");
   std::vector<PendingRequest> batch;
-  std::shared_ptr<const ConstraintManager> manager;
-  while (NextBatchBlocking(&batch, &manager)) {
+  while (NextBatch(/*wait=*/true, &batch)) {
     PlanEnvelope envelope = PlanBatch(std::move(batch), *scheduler);
     batch.clear();
     if (!plan_queue_.Push(std::move(envelope))) {
@@ -180,10 +218,87 @@ void PlacementService::WorkerLoop(LraScheduler* scheduler) {
 }
 
 void PlacementService::CommitterLoop() {
+  NameTraceTrack("medea-svc-commit");
   PlanEnvelope envelope;
   while (plan_queue_.Pop(&envelope)) {
     CommitEnvelope(std::move(envelope), nullptr);
   }
+}
+
+void PlacementService::HeartbeatLoop() {
+  NameTraceTrack("medea-svc-beat");
+  long long beat = 0;
+  while (AwaitHeartbeat()) {
+    const BeatCounts counts = Beat(++beat, *manager_snapshot());
+    sync::MutexLock lock(&mu_);
+    ++metrics_.heartbeats;
+    metrics_.tasks_completed += counts.tasks_completed;
+    metrics_.migrations += counts.migrations;
+  }
+}
+
+bool PlacementService::HasTaskWorkLocked() const {
+  if (config_.migration_every_heartbeats > 0) {
+    return true;
+  }
+  return tasks_.scheduler.has_value() &&
+         (tasks_.scheduler->pending_tasks() > 0 || tasks_.scheduler->running_tasks() > 0);
+}
+
+bool PlacementService::AwaitHeartbeat() {
+  sync::MutexLock lock(&task_mu_);
+  while (!tasks_.stop && !HasTaskWorkLocked()) {
+    task_cv_.Wait(&task_mu_);
+  }
+  if (!tasks_.stop) {
+    task_cv_.WaitFor(&task_mu_, kHeartbeatPeriod);
+  }
+  return !tasks_.stop;
+}
+
+PlacementService::BeatCounts PlacementService::Beat(long long beat,
+                                                    const ConstraintManager& manager) {
+  const obs::ScopedSpan beat_span("service.heartbeat", "service");
+  const obs::ScopedLatencyTimer beat_timer("service.heartbeat_ms");
+  const bool migrate = config_.migration_every_heartbeats > 0 &&
+                       beat % config_.migration_every_heartbeats == 0;
+  BeatCounts counts;
+  sync::MutexLock lock(&task_mu_);
+  TaskTier& tier = tasks_;
+  const SimTimeMs now = NowMs();
+  epoch_.CommitIfChanged([&](ClusterState& live) {
+    bool changed = false;
+    if (tier.scheduler.has_value()) {
+      TaskScheduler& scheduler = *tier.scheduler;
+      while (!tier.completions.empty() && tier.completions.top().end_ms <= now) {
+        const ContainerId container = tier.completions.top().container;
+        tier.completions.pop();
+        // An evicted task's completion is stale: a no-op.
+        if (scheduler.IsRunning(container)) {
+          scheduler.CompleteTask(live, container);
+          ++counts.tasks_completed;
+          changed = true;
+        }
+      }
+      for (const auto& allocation : scheduler.Tick(live, now, &manager)) {
+        tier.completions.push(Completion{allocation.end_time, allocation.container});
+        changed = true;
+      }
+    }
+    if (migrate && live.num_long_running_containers() > 0) {
+      const MigrationPlan plan = MigrationPlanner(MigrationConfig{}).Plan(live, manager);
+      counts.migrations = MigrationPlanner::Apply(plan, live);
+      changed = changed || counts.migrations > 0;
+    }
+    if (changed) {
+      AuditStateMutation(live, "service-heartbeat");
+    }
+    return changed;
+  });
+  if (counts.migrations > 0) {
+    obs::Count("service.migrations", counts.migrations);
+  }
+  return counts;
 }
 
 bool PlacementService::RevalidateLra(const ClusterState& live, const PlanEnvelope& envelope,
@@ -294,11 +409,15 @@ void PlacementService::CommitEnvelope(PlanEnvelope envelope, BatchOutcome* outco
 
 void PlacementService::RequeueOrRejectLocked(PendingRequest request) {
   if (request.attempts >= config_.max_attempts) {
-    ++metrics_.lras_rejected;
     MEDEA_CHECK(outstanding_ > 0);
     --outstanding_;
-    if (obs::MetricsEnabled()) {
-      obs::Count("service.lras_rejected");
+    // A failover re-placement that gives up leaves its app degraded; it is
+    // not a rejected submission.
+    if (!request.is_failover) {
+      ++metrics_.lras_rejected;
+      if (obs::MetricsEnabled()) {
+        obs::Count("service.lras_rejected");
+      }
     }
     const ApplicationId app = request.request.app;
     MutateManagerLocked(
@@ -319,28 +438,37 @@ void PlacementService::NodeDown(NodeId node) {
   obs::Count("service.node_down_events");
   const SteadyTime now = std::chrono::steady_clock::now();
   std::unordered_map<ApplicationId, LraRequest, std::hash<ApplicationId>> lost;
-  size_t containers_lost = 0;
-  epoch_.Commit([&](ClusterState& live) {
-    // Snapshot first: releases mutate the node's container list.
-    const std::vector<ContainerId> containers(live.node(node).containers().begin(),
-                                              live.node(node).containers().end());
-    for (ContainerId c : containers) {
-      const ContainerInfo* info = live.FindContainer(c);
-      MEDEA_CHECK(info != nullptr);
-      if (!info->long_running) {
-        continue;
+  long long containers_lost = 0;
+  long long tasks_evicted = 0;
+  {
+    sync::MutexLock task_lock(&task_mu_);
+    TaskTier& tier = tasks_;
+    const SimTimeMs now_ms = NowMs();
+    epoch_.Commit([&](ClusterState& live) {
+      // Snapshot first: releases mutate the node's container list.
+      const std::vector<ContainerId> containers(live.node(node).containers().begin(),
+                                                live.node(node).containers().end());
+      for (ContainerId c : containers) {
+        const ContainerInfo* info = live.FindContainer(c);
+        MEDEA_CHECK(info != nullptr);
+        if (info->long_running) {
+          LraRequest& request = lost[info->app];
+          request.app = info->app;
+          request.containers.push_back(ContainerRequest{info->resource, info->tags});
+          ++containers_lost;
+          MEDEA_CHECK(live.Release(c).ok());
+        } else if (tier.scheduler.has_value() && tier.scheduler->IsRunning(c)) {
+          MEDEA_CHECK(tier.scheduler->EvictTask(live, c, now_ms).ok());
+          ++tasks_evicted;
+        }
       }
-      LraRequest& request = lost[info->app];
-      request.app = info->app;
-      request.containers.push_back(ContainerRequest{info->resource, info->tags});
-      ++containers_lost;
-      MEDEA_CHECK(live.Release(c).ok());
-    }
-    live.SetNodeAvailable(node, false);
-    AuditStateMutation(live, "service-node-down");
-  });
+      live.SetNodeAvailable(node, false);
+      AuditStateMutation(live, "service-node-down");
+    });
+  }
   sync::MutexLock lock(&mu_);
-  metrics_.lra_containers_lost += static_cast<long long>(containers_lost);
+  metrics_.lra_containers_lost += containers_lost;
+  metrics_.tasks_requeued_on_failure += tasks_evicted;
   // Failover: resubmit the lost containers through the admission queue;
   // their constraints are still registered with the manager.
   for (auto& [app, request] : lost) {
@@ -376,8 +504,7 @@ std::vector<BatchOutcome> PlacementService::RunSynchronous(LraScheduler& schedul
   MEDEA_CHECK(!started_);
   std::vector<BatchOutcome> outcomes;
   std::vector<PendingRequest> batch;
-  std::shared_ptr<const ConstraintManager> manager;
-  while (NextBatchNow(&batch, &manager)) {
+  while (NextBatch(/*wait=*/false, &batch)) {
     PlanEnvelope envelope = PlanBatch(std::move(batch), scheduler);
     batch.clear();
     BatchOutcome outcome;

@@ -1,5 +1,6 @@
 // Copyright (c) Medea reproduction authors.
-// PlacementService: batched, snapshot-isolated placement-as-a-service.
+// PlacementService: Medea's concurrent runtime (§3.2, Fig. 4) — batched,
+// snapshot-isolated LRA placement plus the task-based heartbeat tier.
 //
 // The paper's LRA scheduler "can place multiple applications at once" while
 // the cluster keeps moving (§3.2). This service is that claim as a request
@@ -22,17 +23,34 @@
 // revalidates each planned LRA against the live state and requeues (up to
 // `max_attempts`) whatever no longer fits (§5.4 placement conflicts).
 //
+// Task-based jobs (SubmitTaskJob) run on a heartbeat thread: every
+// kHeartbeatPeriod it completes due tasks, allocates queued ones through
+// the TaskScheduler and, every `migration_every_heartbeats` beats, runs a
+// migration cycle. The thread sleeps on a condition variable while no task
+// is pending or running (and migration is off), and publishes an epoch only
+// when a beat changed the cluster, so LRA-only use pays nothing for it.
+//
+// One allocation path: every mutation of the live cluster — LRA commits,
+// task allocation, completion and eviction, migration, node up/down — runs
+// inside EpochClusterState::Commit, under its writer lock. The task
+// scheduler holds no pointer into that state; each call gets the live
+// ClusterState& from the Commit it runs in.
+//
 // Backpressure: two bounded queues. Submit() blocks once
 // `admission_capacity` requests are pending, and planners block on the
-// existing PlanQueue when the committer falls behind.
+// PlanQueue when the committer falls behind.
 //
 // Two execution modes share the batch/plan/commit code path:
-//   * Start()/Stop(): real planner worker + committer threads.
+//   * Start()/Stop(): planner workers, the committer and the heartbeat.
 //   * RunSynchronous(): single-threaded deterministic drain — same batching,
-//     same snapshot plumbing, zero concurrency. This is the mode the
-//     scenario fuzzer runs differentially against a plain sequential
-//     place-and-commit loop (identical batches => identical plans, commits
-//     and Eq.1 objectives).
+//     same snapshot plumbing, zero concurrency, no task tier. This is the
+//     mode the scenario fuzzer runs differentially against a plain
+//     sequential place-and-commit loop (identical batches => identical
+//     plans, commits and Eq.1 objectives).
+//
+// Lock order: task_mu_ → EpochClusterState::writer_mu_ →
+// EpochClusterState::publish_mu_; mu_ and the PlanQueue's mutex are never
+// held together with another lock.
 
 #ifndef SRC_RUNTIME_PLACEMENT_SERVICE_H_
 #define SRC_RUNTIME_PLACEMENT_SERVICE_H_
@@ -41,6 +59,8 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <queue>
 #include <vector>
 
 #include "src/cluster/epoch_state.h"
@@ -49,6 +69,8 @@
 #include "src/core/constraint_manager.h"
 #include "src/runtime/plan_queue.h"
 #include "src/schedulers/placement.h"
+#include "src/tasksched/task_scheduler.h"
+#include "src/workload/lra_templates.h"
 
 namespace medea::runtime {
 
@@ -63,11 +85,16 @@ struct ServiceConfig {
   size_t plan_queue_capacity = 4;
   // A request is rejected after this many failed placement attempts.
   int max_attempts = 3;
+  // Run a migration cycle every N task heartbeats; 0 disables. While
+  // enabled the heartbeat runs even with no task work.
+  int migration_every_heartbeats = 0;
 };
 
 struct ServiceMetrics {
   long long submitted = 0;
   long long batches = 0;
+  // Every submitted LRA resolves once as placed or rejected; failover
+  // re-placements count under failover_replacements only.
   long long lras_placed = 0;
   long long lras_rejected = 0;
   long long resubmissions = 0;
@@ -75,6 +102,11 @@ struct ServiceMetrics {
   long long stale_plans = 0;
   long long failover_replacements = 0;
   long long lra_containers_lost = 0;
+  // Task-based heartbeat tier.
+  long long heartbeats = 0;
+  long long tasks_completed = 0;
+  long long tasks_requeued_on_failure = 0;
+  long long migrations = 0;
 };
 
 // Result of one synchronous batch cycle (RunSynchronous): what was asked,
@@ -90,6 +122,11 @@ class PlacementService {
  public:
   using SchedulerFactory = std::function<std::unique_ptr<LraScheduler>()>;
 
+  // Period of the task heartbeat (Start() mode only). The service clock is
+  // wall time in milliseconds since construction, so TaskRequest durations
+  // are real milliseconds.
+  static constexpr std::chrono::milliseconds kHeartbeatPeriod{2};
+
   PlacementService(ServiceConfig config, ClusterState initial, ConstraintManager manager);
   ~PlacementService();
 
@@ -97,7 +134,7 @@ class PlacementService {
   PlacementService& operator=(const PlacementService&) = delete;
 
   // Spawns `num_workers` planner threads (one scheduler instance each, from
-  // `factory`) plus the committer thread.
+  // `factory`), the committer thread and the heartbeat thread.
   void Start(const SchedulerFactory& factory);
 
   // Stops all threads; pending plans in the PlanQueue are drained and
@@ -108,19 +145,31 @@ class PlacementService {
   // Requests submitted after Stop() are dropped.
   void Submit(LraRequest request);
 
+  // Builds an LRA spec against the shared tag pool, registers its
+  // constraints — shared ones as operator constraints, deduplicated by
+  // text (ConstraintManager::AddOperatorConstraint); bad texts are logged
+  // and skipped — in one manager republish, and submits its request.
+  void SubmitSpec(const std::function<LraSpec(TagPool&)>& build);
+
+  // Enqueues a task-based job on the heartbeat tier's single FIFO queue
+  // (it runs after Start()).
+  void SubmitTaskJob(std::vector<TaskRequest> tasks);
+
   // Mutates the constraint manager (register/remove constraints, intern
   // tags) and republishes the snapshot used by subsequent planner cycles.
   void WithManager(const std::function<void(ConstraintManager&)>& fn);
   std::shared_ptr<const ConstraintManager> manager_snapshot() const;
 
-  // Failover path: marks the node down, releases its LRA containers and
+  // Failover path (§2.3): marks the node down, evicts its running tasks
+  // back to the head of their queues, releases its LRA containers and
   // resubmits them through the admission queue (is_failover), advancing the
   // epoch. NodeUp re-enables the node (another epoch).
   void NodeDown(NodeId node);
   void NodeUp(NodeId node);
 
-  // Blocks until every submitted request has resolved (committed or
-  // rejected) or `timeout` elapses; returns false on timeout.
+  // Blocks until every submitted LRA request has resolved (committed or
+  // rejected) or `timeout` elapses; returns false on timeout. Task jobs may
+  // still be running.
   bool WaitIdle(std::chrono::milliseconds timeout);
 
   // Deterministic single-threaded mode (do not Start()): drains the
@@ -146,17 +195,32 @@ class PlacementService {
     int attempts = 0;
     bool is_failover = false;
   };
+  struct Completion {
+    SimTimeMs end_ms = 0;
+    ContainerId container;
+    bool operator>(const Completion& other) const { return end_ms > other.end_ms; }
+  };
+  // The heartbeat tier's state. Touched only under task_mu_; the scheduler
+  // is created by the first SubmitTaskJob.
+  struct TaskTier {
+    std::optional<TaskScheduler> scheduler;
+    std::priority_queue<Completion, std::vector<Completion>, std::greater<>> completions;
+    ApplicationId next_app{1u << 20};  // task jobs get synthetic app ids
+    bool stop = false;
+  };
+  struct BeatCounts {
+    long long tasks_completed = 0;
+    long long migrations = 0;
+  };
 
   void WorkerLoop(LraScheduler* scheduler);
   void CommitterLoop();
+  void HeartbeatLoop();
 
-  // Pops up to max_batch pending requests into `batch`. Blocking variant
-  // (worker threads) returns false only when stopping with nothing pending.
-  bool NextBatchBlocking(std::vector<PendingRequest>* batch,
-                         std::shared_ptr<const ConstraintManager>* manager)
-      MEDEA_EXCLUDES(mu_);
-  bool NextBatchNow(std::vector<PendingRequest>* batch,
-                    std::shared_ptr<const ConstraintManager>* manager) MEDEA_EXCLUDES(mu_);
+  // Pops up to max_batch pending requests into `batch`. With `wait` it
+  // blocks until a request is pending; returns false when stopping, or when
+  // nothing is pending.
+  bool NextBatch(bool wait, std::vector<PendingRequest>* batch) MEDEA_EXCLUDES(mu_);
 
   // Plans `batch` against the current epoch snapshot with `scheduler` and
   // wraps the result in an envelope (snapshot_version = epoch).
@@ -169,11 +233,23 @@ class PlacementService {
 
   static bool RevalidateLra(const ClusterState& live, const PlanEnvelope& envelope,
                             size_t lra_index);
+
+  // Waits out one heartbeat period; while the tier has no work, waits for
+  // some first. Returns false once the heartbeat is stopping.
+  bool AwaitHeartbeat() MEDEA_EXCLUDES(task_mu_);
+  bool HasTaskWorkLocked() const MEDEA_REQUIRES(task_mu_);
+  // One heartbeat (`beat` counts from 1): completes due tasks, allocates
+  // queued ones and migrates on every migration_every_heartbeats-th beat,
+  // inside one epoch commit that publishes only on change.
+  BeatCounts Beat(long long beat, const ConstraintManager& manager) MEDEA_EXCLUDES(task_mu_);
+  // Milliseconds of service clock since construction.
+  SimTimeMs NowMs() const;
   void RequeueOrRejectLocked(PendingRequest request) MEDEA_REQUIRES(mu_);
   void MutateManagerLocked(const std::function<void(ConstraintManager&)>& fn)
       MEDEA_REQUIRES(mu_);
 
   const ServiceConfig config_;
+  const SteadyTime start_time_ = std::chrono::steady_clock::now();
   EpochClusterState epoch_;
   PlanQueue plan_queue_;
 
@@ -187,9 +263,14 @@ class PlacementService {
   bool stopping_ MEDEA_GUARDED_BY(mu_) = false;
   ServiceMetrics metrics_ MEDEA_GUARDED_BY(mu_);
 
+  mutable sync::Mutex task_mu_;
+  sync::CondVar task_cv_;  // task work arrived, or stopping
+  TaskTier tasks_ MEDEA_GUARDED_BY(task_mu_);
+
   std::vector<std::unique_ptr<LraScheduler>> planners_;
   std::vector<sync::Thread> workers_;
   sync::Thread committer_;
+  sync::Thread heartbeat_;
   bool started_ = false;
 };
 

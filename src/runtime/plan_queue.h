@@ -1,14 +1,14 @@
 // Copyright (c) Medea reproduction authors.
-// Bounded handoff queue between the two schedulers (Fig. 4).
+// Bounded handoff queue between LRA planning and commit (Fig. 4).
 //
-// The LRA scheduler thread produces PlanEnvelopes (a batch of LRA requests
-// plus the placement plan computed for them against a state snapshot); the
-// heartbeat loop consumes them and performs the actual allocations. The
-// queue is deliberately small: placement plans go stale as the heartbeat
-// keeps allocating tasks, so buffering many of them is useless work —
-// a full queue blocks the LRA thread (backpressure) until the heartbeat
-// catches up. All synchronization is annotated for Clang Thread Safety
-// Analysis; misuse is a compile error on Clang builds.
+// Planner workers produce PlanEnvelopes (a batch of LRA requests plus the
+// placement plan computed for them against a state snapshot); the
+// PlacementService committer consumes them and performs the actual
+// allocations. The queue is deliberately small: placement plans go stale as
+// the cluster keeps moving, so buffering many of them is useless work — a
+// full queue blocks the planners (backpressure) until the committer catches
+// up. All synchronization is annotated for Clang Thread Safety Analysis;
+// misuse is a compile error on Clang builds.
 
 #ifndef SRC_RUNTIME_PLAN_QUEUE_H_
 #define SRC_RUNTIME_PLAN_QUEUE_H_
@@ -35,8 +35,7 @@ inline double MsSince(SteadyTime start) {
       .count();
 }
 
-// One scheduling cycle's output, in flight from the LRA scheduler thread to
-// the heartbeat loop.
+// One scheduling cycle's output, in flight from a planner to the committer.
 struct PlanEnvelope {
   // The batch the plan was computed for. Copied (not referenced): the state
   // snapshot the scheduler saw is gone by commit time and the live cluster
@@ -48,13 +47,12 @@ struct PlanEnvelope {
   std::vector<SteadyTime> submitted;
   std::vector<bool> is_failover;
   PlacementPlan plan;
-  // Value of the runtime's state version when the snapshot was taken; a
-  // mismatch at commit time routes the envelope through the stale-plan
-  // revalidation path.
+  // The epoch of the snapshot the plan was computed against; a mismatch at
+  // commit time counts the envelope as a stale plan.
   uint64_t snapshot_version = 0;
-  // Stamped by PlanQueue::Push (only while metrics are enabled) so TryPop
-  // can report the envelope's queue dwell time (runtime.plan_queue_wait_ms).
-  std::chrono::steady_clock::time_point enqueue_time{};
+  // Stamped by PlanQueue::Push (only while metrics are enabled) so Pop can
+  // report the envelope's queue dwell time (runtime.plan_queue_wait_ms).
+  SteadyTime enqueue_time{};
 };
 
 class PlanQueue {
@@ -64,7 +62,7 @@ class PlanQueue {
   PlanQueue(const PlanQueue&) = delete;
   PlanQueue& operator=(const PlanQueue&) = delete;
 
-  // Blocks while the queue is full (backpressure on the LRA thread).
+  // Blocks while the queue is full (backpressure on the planners).
   // Returns false — and drops the envelope — once the queue is closed.
   bool Push(PlanEnvelope envelope) MEDEA_EXCLUDES(mu_) {
     sync::MutexLock lock(&mu_);
@@ -84,20 +82,10 @@ class PlanQueue {
     return true;
   }
 
-  // Non-blocking pop, used by the heartbeat loop's drain pass.
-  bool TryPop(PlanEnvelope* envelope) MEDEA_EXCLUDES(mu_) {
-    sync::MutexLock lock(&mu_);
-    if (queue_.empty()) {
-      return false;
-    }
-    PopLocked(envelope);
-    return true;
-  }
-
-  // Blocking pop, used by the placement service's dedicated committer
-  // thread. Waits until an envelope arrives; after Close() it keeps
-  // returning the remaining envelopes (so shutdown drains the queue) and
-  // returns false only once closed *and* empty.
+  // Blocking pop, used by the committer thread. Waits until an envelope
+  // arrives; after Close() it keeps returning the remaining envelopes (so
+  // shutdown drains the queue) and returns false only once closed *and*
+  // empty.
   bool Pop(PlanEnvelope* envelope) MEDEA_EXCLUDES(mu_) {
     sync::MutexLock lock(&mu_);
     while (queue_.empty() && !closed_) {
@@ -106,7 +94,14 @@ class PlanQueue {
     if (queue_.empty()) {
       return false;
     }
-    PopLocked(envelope);
+    *envelope = std::move(queue_.front());
+    queue_.pop_front();
+    if (obs::MetricsEnabled() &&
+        envelope->enqueue_time != SteadyTime{}) {
+      obs::Observe("runtime.plan_queue_wait_ms", MsSince(envelope->enqueue_time));
+      obs::SetGauge("runtime.plan_queue_depth", static_cast<double>(queue_.size()));
+    }
+    not_full_.Signal();
     return true;
   }
 
@@ -124,26 +119,7 @@ class PlanQueue {
     return queue_.size();
   }
 
-  bool closed() const MEDEA_EXCLUDES(mu_) {
-    sync::MutexLock lock(&mu_);
-    return closed_;
-  }
-
  private:
-  void PopLocked(PlanEnvelope* envelope) MEDEA_REQUIRES(mu_) {
-    *envelope = std::move(queue_.front());
-    queue_.pop_front();
-    if (obs::MetricsEnabled() &&
-        envelope->enqueue_time != std::chrono::steady_clock::time_point{}) {
-      obs::Observe("runtime.plan_queue_wait_ms",
-                   std::chrono::duration<double, std::milli>(
-                       std::chrono::steady_clock::now() - envelope->enqueue_time)
-                       .count());
-      obs::SetGauge("runtime.plan_queue_depth", static_cast<double>(queue_.size()));
-    }
-    not_full_.Signal();
-  }
-
   const size_t capacity_;
   mutable sync::Mutex mu_;
   sync::CondVar not_full_;

@@ -6,8 +6,8 @@
 
 namespace medea {
 namespace {
-// Atomic: the two-scheduler runtime audits plans on the LRA thread while the
-// heartbeat thread audits state mutations. Install/uninstall still happens
+// Atomic: the placement service's planner workers audit plans while its
+// committer and heartbeat audit state mutations. Install/uninstall still happens
 // quiesced (no concurrent pipeline), which SetPlacementAuditor documents.
 std::atomic<PlacementAuditor*> g_auditor{nullptr};
 }  // namespace

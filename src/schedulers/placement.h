@@ -113,7 +113,7 @@ class PlacementAuditor {
 
 // Installs `auditor` (nullptr uninstalls). Returns the previous auditor so
 // scoped installers can restore it. The pointer itself is atomic (the
-// two-scheduler runtime audits from both of its threads); install and
+// placement service audits from several of its threads); install and
 // uninstall must still happen with the pipeline quiesced, and the auditor
 // implementation must be internally synchronized when used concurrently
 // (ScopedInvariantAudit is).

@@ -20,25 +20,11 @@ Simulation::Simulation(SimConfig config, std::unique_ptr<LraScheduler> lra_sched
                  .NodeCapacity(config.node_capacity)
                  .Build()),
       manager_(state_.groups_ptr()),
-      task_scheduler_(&state_),
       lra_scheduler_(std::move(lra_scheduler)) {
   MEDEA_CHECK(lra_scheduler_ != nullptr);
   if (config_.metrics_sample_interval_ms > 0) {
     Push(config_.metrics_sample_interval_ms, EventType::kMetricsSample);
   }
-}
-
-Status Simulation::AddOperatorConstraint(const std::string& text) {
-  if (std::find(operator_constraint_texts_.begin(), operator_constraint_texts_.end(), text) !=
-      operator_constraint_texts_.end()) {
-    return Status::Ok();  // deduplicated
-  }
-  auto result = manager_.AddFromText(text, ConstraintOrigin::kOperator);
-  if (!result.ok()) {
-    return result.status();
-  }
-  operator_constraint_texts_.push_back(text);
-  return Status::Ok();
 }
 
 void Simulation::Push(SimTimeMs time, EventType type, int payload_index, ContainerId container,
@@ -56,7 +42,7 @@ void Simulation::Push(SimTimeMs time, EventType type, int payload_index, Contain
 
 void Simulation::SubmitLraAt(SimTimeMs t, LraSpec spec) {
   for (const std::string& text : spec.shared_constraints) {
-    const Status status = AddOperatorConstraint(text);
+    const Status status = manager_.AddOperatorConstraint(text);
     if (!status.ok()) {
       MEDEA_LOG(kWarning) << "bad shared constraint: " << status.ToString();
     }
@@ -111,10 +97,7 @@ void Simulation::HandleNodeDown(NodeId node) {
       ++metrics_.lra_containers_lost;
       MEDEA_CHECK(state_.Release(c).ok());
     } else if (task_scheduler_.IsRunning(c)) {
-      const auto it = task_durations_.find(c);
-      const SimTimeMs duration = it == task_durations_.end() ? 1000 : it->second;
-      task_durations_.erase(c);
-      MEDEA_CHECK(task_scheduler_.EvictTask(c, now_, duration).ok());
+      MEDEA_CHECK(task_scheduler_.EvictTask(state_, c, now_).ok());
       ++metrics_.tasks_requeued_on_failure;
     }
   }
@@ -176,7 +159,7 @@ void Simulation::RunLraCycle() {
   metrics_.lra_cycle_latency_ms.Add(plan.latency_ms);
 
   std::vector<bool> committed;
-  task_scheduler_.CommitLraPlan(problem, plan, &committed);
+  CommitPlan(problem, plan, state_, &committed);
   AuditStateMutation(state_, "lra-commit");
 
   for (size_t i = 0; i < cycle_lras.size(); ++i) {
@@ -257,11 +240,7 @@ bool Simulation::TryCommitWithEviction(const LraRequest& lra, const PlacementPla
       if (!victim.IsValid()) {
         return false;  // nothing left to kill; fall back to resubmission
       }
-      const auto duration_it = task_durations_.find(victim);
-      const SimTimeMs duration =
-          duration_it == task_durations_.end() ? 1000 : duration_it->second;
-      task_durations_.erase(victim);
-      MEDEA_CHECK(task_scheduler_.EvictTask(victim, now_, duration).ok());
+      MEDEA_CHECK(task_scheduler_.EvictTask(state_, victim, now_).ok());
       ++killed;
     }
   }
@@ -278,7 +257,7 @@ bool Simulation::TryCommitWithEviction(const LraRequest& lra, const PlacementPla
     }
   }
   std::vector<bool> committed;
-  task_scheduler_.CommitLraPlan(sub, sub_plan, &committed);
+  CommitPlan(sub, sub_plan, state_, &committed);
   if (!committed.empty() && committed[0]) {
     metrics_.tasks_killed += killed;
     EnsureTaskTickScheduled();  // requeued victims need a heartbeat
@@ -308,9 +287,8 @@ void Simulation::RunMigrationCycle() {
 
 void Simulation::RunTaskTick() {
   task_tick_scheduled_ = false;
-  const auto allocations = task_scheduler_.Tick(now_);
+  const auto allocations = task_scheduler_.Tick(state_, now_);
   for (const auto& allocation : allocations) {
-    task_durations_[allocation.container] = allocation.end_time - now_;
     Push(allocation.end_time, EventType::kTaskComplete, -1, allocation.container);
   }
   EnsureTaskTickScheduled();
@@ -401,8 +379,7 @@ void Simulation::RunUntil(SimTimeMs t) {
         // The container may have been evicted by the kKillTasks conflict
         // policy; its stale completion event is then a no-op.
         if (task_scheduler_.IsRunning(event.container)) {
-          task_scheduler_.CompleteTask(event.container);
-          task_durations_.erase(event.container);
+          task_scheduler_.CompleteTask(state_, event.container);
           // Freed resources may unblock queued tasks.
           EnsureTaskTickScheduled();
         }

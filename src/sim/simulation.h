@@ -109,13 +109,10 @@ class Simulation {
   const SimMetrics& metrics() const { return metrics_; }
   const SimConfig& config() const { return config_; }
 
-  // Registers a cluster-operator constraint (deduplicated by text).
-  Status AddOperatorConstraint(const std::string& text);
-
   // Schedules an LRA submission at time `t` (>= now). The spec's
   // application constraints are registered when the submission fires;
   // shared constraints are registered as operator constraints immediately
-  // (deduplicated).
+  // (ConstraintManager::AddOperatorConstraint, deduplicated by text).
   void SubmitLraAt(SimTimeMs t, LraSpec spec);
 
   // Schedules a task-based job submission.
@@ -217,10 +214,7 @@ class Simulation {
   std::vector<LraSpec> lra_payloads_;
   std::vector<PendingTaskJob> task_payloads_;
   std::deque<PendingLra> lra_queue_;
-  std::vector<std::string> operator_constraint_texts_;
   ApplicationId next_task_app_{1u << 20};  // task jobs get synthetic app ids
-  // Durations of running tasks (needed to requeue on eviction).
-  std::unordered_map<ContainerId, SimTimeMs, std::hash<ContainerId>> task_durations_;
   std::vector<MetricsSample> samples_;
   SimMetrics metrics_;
 };

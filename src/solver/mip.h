@@ -133,8 +133,9 @@ struct MipOptions {
   bool reduced_cost_fixing = false;
   // Reduced-cost fixing at every node, scoped to the node's subtree (bounds
   // restored on backtrack). Same basis-dependence caveat as
-  // reduced_cost_fixing, which is why it is off by default; the decomposed
-  // fallback searches enable it together with root fixing.
+  // reduced_cost_fixing, which is why it is off by default. No scheduler
+  // sets it: the decomposed per-component searches turn on root fixing only
+  // and inherit this flag unchanged from the caller's options.
   bool node_reduced_cost_fixing = false;
   // Root cutting planes (see CutOptions). Applied identically on the warm
   // and cold node-LP paths, so tree identity (branching_perturbation above)

@@ -8,10 +8,7 @@
 
 namespace medea {
 
-TaskScheduler::TaskScheduler(ClusterState* state, std::vector<QueueConfig> queues,
-                             const ConstraintManager* manager)
-    : state_(state), manager_(manager) {
-  MEDEA_CHECK(state_ != nullptr);
+TaskScheduler::TaskScheduler(std::vector<QueueConfig> queues) {
   if (queues.empty()) {
     queues.push_back(QueueConfig{"default", 1.0});
   }
@@ -32,17 +29,18 @@ void TaskScheduler::SubmitJob(ApplicationId app, const std::string& queue,
   }
 }
 
-Resource TaskScheduler::QueueCap(const Queue& queue) const {
-  const Resource total = state_->TotalCapacity();
+Resource TaskScheduler::QueueCap(const ClusterState& state, const Queue& queue) {
+  const Resource total = state.TotalCapacity();
   return Resource(
       static_cast<int64_t>(static_cast<double>(total.memory_mb) * queue.config.capacity_fraction),
       static_cast<int32_t>(static_cast<double>(total.vcores) * queue.config.capacity_fraction));
 }
 
-NodeId TaskScheduler::PickNode(const TaskRequest& request) const {
+NodeId TaskScheduler::PickNode(ClusterState& state, const TaskRequest& request,
+                               const ConstraintManager* manager) const {
   // Feasible nodes, least-loaded first.
   std::vector<NodeId> feasible;
-  state_->ForEachNode([&](const Node& node) {
+  state.ForEachNode([&](const Node& node) {
     if (!node.available()) {
       return;
     }
@@ -57,12 +55,12 @@ NodeId TaskScheduler::PickNode(const TaskRequest& request) const {
     return NodeId::Invalid();
   }
   std::stable_sort(feasible.begin(), feasible.end(), [&](NodeId a, NodeId b) {
-    return state_->node(a).used().DominantShareOf(state_->node(a).capacity()) <
-           state_->node(b).used().DominantShareOf(state_->node(b).capacity());
+    return state.node(a).used().DominantShareOf(state.node(a).capacity()) <
+           state.node(b).used().DominantShareOf(state.node(b).capacity());
   });
 
   // Untagged tasks (the vast majority): plain least-loaded.
-  if (request.tags.empty() || manager_ == nullptr) {
+  if (request.tags.empty() || manager == nullptr) {
     return feasible[0];
   }
 
@@ -70,7 +68,7 @@ NodeId TaskScheduler::PickNode(const TaskRequest& request) const {
   // violation extent of the constraints whose subject this task matches —
   // heuristic only, never blocking (§5.4).
   std::vector<std::pair<ConstraintId, const PlacementConstraint*>> own;
-  for (const auto& entry : manager_->Effective()) {
+  for (const auto& entry : manager->Effective()) {
     for (const auto* atomic : entry.second->AllAtomics()) {
       if (atomic->subject.MatchedBy(request.tags)) {
         own.push_back(entry);
@@ -87,21 +85,21 @@ NodeId TaskScheduler::PickNode(const TaskRequest& request) const {
   }
   NodeId best = feasible[0];
   double best_extent = 1e300;
-  ClusterState& scratch = *state_;  // hypothetical allocs are rolled back
+  // Hypothetical allocations on the live state, each rolled back.
   for (NodeId n : feasible) {
-    auto placed = scratch.Allocate(ApplicationId(0xFFFFFFu), n, request.demand, request.tags,
+    auto placed = state.Allocate(ApplicationId(0xFFFFFFu), n, request.demand, request.tags,
                                    /*long_running=*/false);
     if (!placed.ok()) {
       continue;
     }
     double extent = 0.0;
     for (const auto& [id, constraint] : own) {
-      extent += ConstraintEvaluator::EvaluateConstraint(scratch, *constraint, *placed, n,
+      extent += ConstraintEvaluator::EvaluateConstraint(state, *constraint, *placed, n,
                                                         request.tags)
                     .extent *
                 constraint->weight;
     }
-    MEDEA_CHECK(scratch.Release(*placed).ok());
+    MEDEA_CHECK(state.Release(*placed).ok());
     if (extent < best_extent - 1e-12) {
       best_extent = extent;
       best = n;
@@ -110,7 +108,7 @@ NodeId TaskScheduler::PickNode(const TaskRequest& request) const {
   return best;
 }
 
-size_t TaskScheduler::NextTaskIndex(const Queue& queue) const {
+size_t TaskScheduler::NextTaskIndex(const ClusterState& state, const Queue& queue) {
   if (queue.pending.empty()) {
     return SIZE_MAX;
   }
@@ -119,7 +117,7 @@ size_t TaskScheduler::NextTaskIndex(const Queue& queue) const {
   }
   // Fair: the first pending task of the application with the smallest
   // running dominant share in this queue.
-  const Resource total = state_->TotalCapacity();
+  const Resource total = state.TotalCapacity();
   size_t best = 0;
   double best_share = 1e300;
   std::unordered_map<ApplicationId, bool, std::hash<ApplicationId>> seen;
@@ -140,27 +138,29 @@ size_t TaskScheduler::NextTaskIndex(const Queue& queue) const {
   return best;
 }
 
-std::vector<TaskScheduler::TaskAllocation> TaskScheduler::Tick(SimTimeMs now) {
+std::vector<TaskScheduler::TaskAllocation> TaskScheduler::Tick(ClusterState& state, SimTimeMs now,
+                                                               const ConstraintManager* manager) {
   std::vector<TaskAllocation> allocations;
   for (size_t qi = 0; qi < queues_.size(); ++qi) {
     Queue& queue = queues_[qi];
-    const Resource cap = QueueCap(queue);
+    const Resource cap = QueueCap(state, queue);
     while (!queue.pending.empty()) {
-      const size_t index = NextTaskIndex(queue);
+      const size_t index = NextTaskIndex(state, queue);
       const PendingTask& task = queue.pending[index];
       if (!cap.Fits(queue.used + task.request.demand)) {
         break;  // queue at capacity; head-of-line per Capacity Scheduler
       }
-      const NodeId node = PickNode(task.request);
+      const NodeId node = PickNode(state, task.request, manager);
       if (!node.IsValid()) {
         break;  // no node fits right now
       }
-      auto result = state_->Allocate(task.app, node, task.request.demand, task.request.tags,
+      auto result = state.Allocate(task.app, node, task.request.demand, task.request.tags,
                                      /*long_running=*/false);
       MEDEA_CHECK(result.ok());
       queue.used += task.request.demand;
       queue.app_used[task.app] += task.request.demand;
-      running_.emplace(*result, RunningTask{qi, task.request.demand, task.app});
+      running_.emplace(*result,
+                       RunningTask{qi, task.request.demand, task.app, task.request.duration_ms});
       allocations.push_back(TaskAllocation{*result, task.app, node,
                                            now + task.request.duration_ms,
                                            now - task.submit_time});
@@ -174,17 +174,17 @@ std::vector<TaskScheduler::TaskAllocation> TaskScheduler::Tick(SimTimeMs now) {
   return allocations;
 }
 
-void TaskScheduler::CompleteTask(ContainerId container) {
+void TaskScheduler::CompleteTask(ClusterState& state, ContainerId container) {
   const auto it = running_.find(container);
   MEDEA_CHECK(it != running_.end());
   Queue& queue = queues_[it->second.queue_index];
   queue.used -= it->second.demand;
   queue.app_used[it->second.app] -= it->second.demand;
   running_.erase(it);
-  MEDEA_CHECK(state_->Release(container).ok());
+  MEDEA_CHECK(state.Release(container).ok());
 }
 
-Status TaskScheduler::EvictTask(ContainerId container, SimTimeMs now, SimTimeMs duration_ms) {
+Status TaskScheduler::EvictTask(ClusterState& state, ContainerId container, SimTimeMs now) {
   const auto it = running_.find(container);
   if (it == running_.end()) {
     return Status::NotFound("no such running task");
@@ -194,13 +194,13 @@ Status TaskScheduler::EvictTask(ContainerId container, SimTimeMs now, SimTimeMs 
   queue.used -= task.demand;
   queue.app_used[task.app] -= task.demand;
   running_.erase(it);
-  const ContainerInfo* info = state_->FindContainer(container);
+  const ContainerInfo* info = state.FindContainer(container);
   MEDEA_CHECK(info != nullptr);
   std::vector<TagId> tags = info->tags;
-  MEDEA_CHECK(state_->Release(container).ok());
+  MEDEA_CHECK(state.Release(container).ok());
   // Head-of-queue requeue: the killed task reruns as soon as possible.
   queue.pending.push_front(
-      PendingTask{task.app, TaskRequest{task.demand, duration_ms, std::move(tags)}, now});
+      PendingTask{task.app, TaskRequest{task.demand, task.duration_ms, std::move(tags)}, now});
   return Status::Ok();
 }
 
@@ -222,11 +222,6 @@ Resource TaskScheduler::ReservedOn(NodeId node) const {
     }
   }
   return total;
-}
-
-bool TaskScheduler::CommitLraPlan(const PlacementProblem& problem, const PlacementPlan& plan,
-                                  std::vector<bool>* committed) {
-  return CommitPlan(problem, plan, *state_, committed);
 }
 
 size_t TaskScheduler::pending_tasks() const {

@@ -4,12 +4,11 @@
 // Models YARN's Capacity Scheduler: a flat set of queues, each entitled to a
 // fraction of cluster resources, FIFO within a queue, heartbeat-driven
 // allocation onto the least-loaded feasible node. Short-running containers
-// are allocated here with low latency; LRA placement *plans* produced by the
-// LRA scheduler are also committed here, so a single component performs all
-// allocations and placement conflicts between the two schedulers cannot
-// occur (§3, §5.4). A plan that no longer fits (task containers took the
-// resources in the meantime) fails atomically per LRA and the caller
-// resubmits the LRA.
+// are allocated here with low latency. The scheduler owns only its queues
+// and running-task bookkeeping: every call that allocates or releases takes
+// the live ClusterState from its caller, so the component that commits LRA
+// plans (Simulation, or PlacementService under its epoch writer lock) is
+// the one that performs every allocation (§3.2).
 
 #ifndef SRC_TASKSCHED_TASK_SCHEDULER_H_
 #define SRC_TASKSCHED_TASK_SCHEDULER_H_
@@ -22,7 +21,6 @@
 #include "src/cluster/cluster_state.h"
 #include "src/common/stats.h"
 #include "src/core/constraint_manager.h"
-#include "src/schedulers/placement.h"
 
 namespace medea {
 
@@ -55,11 +53,9 @@ struct QueueConfig {
 
 class TaskScheduler {
  public:
-  // `state` must outlive the scheduler. With no queues, a single "default"
-  // queue owning the whole cluster is created. `manager`, when given,
-  // enables heuristic constraint-aware node choice for tagged tasks.
-  TaskScheduler(ClusterState* state, std::vector<QueueConfig> queues = {},
-                const ConstraintManager* manager = nullptr);
+  // With no queues, a single "default" queue owning the whole cluster is
+  // created.
+  explicit TaskScheduler(std::vector<QueueConfig> queues = {});
 
   // Enqueues a job's tasks (FIFO within the queue). Unknown queues fall back
   // to the first configured queue.
@@ -76,21 +72,24 @@ class TaskScheduler {
     SimTimeMs queued_ms = 0;
   };
 
-  // One heartbeat round: allocates as many pending tasks as capacities and
-  // node resources allow. Returns the allocations made this round.
-  std::vector<TaskAllocation> Tick(SimTimeMs now);
+  // One heartbeat round: allocates on `state` as many pending tasks as
+  // capacities and node resources allow. Returns the allocations made this
+  // round. `manager`, when given, enables heuristic constraint-aware node
+  // choice for tagged tasks.
+  std::vector<TaskAllocation> Tick(ClusterState& state, SimTimeMs now,
+                                   const ConstraintManager* manager = nullptr);
 
   // Releases a finished task container.
-  void CompleteTask(ContainerId container);
+  void CompleteTask(ClusterState& state, ContainerId container);
 
   // True while the container is a running task of this scheduler.
   bool IsRunning(ContainerId container) const { return running_.count(container) > 0; }
 
   // Evicts a running task: its container is released and the task re-enters
   // its queue's head with a fresh submission time (§5.4 conflict policy
-  // "kill containers of task-based jobs"). `remaining_ms` is re-run from
+  // "kill containers of task-based jobs"). Its full duration is re-run from
   // scratch, as YARN kills do not checkpoint.
-  Status EvictTask(ContainerId container, SimTimeMs now, SimTimeMs duration_ms);
+  Status EvictTask(ClusterState& state, ContainerId container, SimTimeMs now);
 
   // --- Reservations (§5.4 conflict policy iii) --------------------------------
   //
@@ -103,12 +102,6 @@ class TaskScheduler {
   // Total reserved on a node across applications.
   Resource ReservedOn(NodeId node) const;
   size_t num_reservations() const { return reservations_.size(); }
-
-  // Commits an LRA placement plan against the live state. Per-LRA atomic:
-  // `committed[i]` reports which LRAs landed; failed ones must be
-  // resubmitted by the caller (§5.4).
-  bool CommitLraPlan(const PlacementProblem& problem, const PlacementPlan& plan,
-                     std::vector<bool>* committed);
 
   size_t pending_tasks() const;
   size_t running_tasks() const { return running_.size(); }
@@ -130,23 +123,23 @@ class TaskScheduler {
     std::unordered_map<ApplicationId, Resource, std::hash<ApplicationId>> app_used;
   };
 
-  Resource QueueCap(const Queue& queue) const;
+  static Resource QueueCap(const ClusterState& state, const Queue& queue);
   // Least-loaded node that fits `demand`; invalid if none. Tagged tasks
   // (with a manager present) prefer, among the least-loaded feasible
   // nodes, the one best satisfying their own constraints.
-  NodeId PickNode(const TaskRequest& request) const;
+  NodeId PickNode(ClusterState& state, const TaskRequest& request,
+                  const ConstraintManager* manager) const;
   // Index into queue.pending of the next task per the queue's policy;
   // SIZE_MAX when the queue is empty.
-  size_t NextTaskIndex(const Queue& queue) const;
+  static size_t NextTaskIndex(const ClusterState& state, const Queue& queue);
 
-  ClusterState* state_;
-  const ConstraintManager* manager_;
   std::vector<Queue> queues_;
   std::unordered_map<std::string, size_t> queue_index_;
   struct RunningTask {
     size_t queue_index = 0;
     Resource demand;
     ApplicationId app;
+    SimTimeMs duration_ms = 0;  // re-run in full when evicted
   };
   std::unordered_map<ContainerId, RunningTask, std::hash<ContainerId>> running_;
   std::unordered_map<ApplicationId, std::vector<std::pair<NodeId, Resource>>,

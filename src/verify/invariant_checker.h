@@ -128,9 +128,9 @@ class InvariantChecker {
 // every plan a scheduler produces and on every simulator state mutation.
 // With abort_on_violation (the default, debug-assert semantics) the process
 // aborts with a full report on the first violation; otherwise failures are
-// collected for tests to inspect. Internally synchronized: the two-scheduler
-// runtime audits plans on its LRA thread and state mutations on its
-// heartbeat thread.
+// collected for tests to inspect. Internally synchronized: the placement
+// service audits state mutations from its committer, its heartbeat and
+// NodeDown/NodeUp callers concurrently.
 class ScopedInvariantAudit : public PlacementAuditor {
  public:
   explicit ScopedInvariantAudit(bool abort_on_violation = true,

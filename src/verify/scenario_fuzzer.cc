@@ -1,6 +1,7 @@
 #include "src/verify/scenario_fuzzer.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <deque>
 #include <memory>
@@ -59,14 +60,9 @@ LraSpec MakeRandomSpec(Rng& rng, ApplicationId app, TagPool& tags) {
   }
 }
 
-void RegisterSpecConstraints(const LraSpec& spec, ApplicationId app, ConstraintManager& manager,
-                             std::vector<std::string>& operator_texts) {
+void RegisterSpecConstraints(const LraSpec& spec, ApplicationId app, ConstraintManager& manager) {
   for (const std::string& text : spec.shared_constraints) {
-    if (std::find(operator_texts.begin(), operator_texts.end(), text) != operator_texts.end()) {
-      continue;  // operator constraints are cluster-wide; register once
-    }
-    operator_texts.push_back(text);
-    MEDEA_CHECK(manager.AddFromText(text, ConstraintOrigin::kOperator).ok());
+    MEDEA_CHECK(manager.AddOperatorConstraint(text).ok());
   }
   for (const std::string& text : spec.app_constraints) {
     MEDEA_CHECK(manager.AddFromText(text, ConstraintOrigin::kApplication, app).ok());
@@ -90,7 +86,6 @@ Scenario GenerateScenario(Rng& rng, const SchedulerConfig& config) {
     }
   }
 
-  std::vector<std::string> operator_texts;
   uint32_t next_app = 0;
 
   // Pre-deployed LRAs: placed by the Serial greedy and committed, so the
@@ -99,7 +94,7 @@ Scenario GenerateScenario(Rng& rng, const SchedulerConfig& config) {
   for (int i = 0; i < num_existing; ++i) {
     const ApplicationId app(next_app++);
     LraSpec spec = MakeRandomSpec(rng, app, scenario.manager.tags());
-    RegisterSpecConstraints(spec, app, scenario.manager, operator_texts);
+    RegisterSpecConstraints(spec, app, scenario.manager);
     PlacementProblem problem;
     problem.lras = {spec.request};
     problem.state = &scenario.state;
@@ -114,7 +109,7 @@ Scenario GenerateScenario(Rng& rng, const SchedulerConfig& config) {
   for (int i = 0; i < num_new; ++i) {
     const ApplicationId app(next_app++);
     LraSpec spec = MakeRandomSpec(rng, app, scenario.manager.tags());
-    RegisterSpecConstraints(spec, app, scenario.manager, operator_texts);
+    RegisterSpecConstraints(spec, app, scenario.manager);
     scenario.lras.push_back(std::move(spec.request));
   }
   return scenario;
@@ -362,6 +357,8 @@ class FuzzRun {
     const std::string name = service_scheduler->name() + "/service";
     const std::vector<runtime::BatchOutcome> outcomes = service.RunSynchronous(*service_scheduler);
     ++result_.stats.service_runs;
+    RunThreadedServiceLeg(seed, scenario, family, config, service_config,
+                          service_scheduler->name() + "/service-threaded");
 
     // Legacy mutex-sequential reference: identical chunking and requeue
     // policy, fresh scheduler instance of the same family, direct mutation.
@@ -465,6 +462,65 @@ class FuzzRun {
     });
     if (!report.ok()) {
       Fail(seed, name, "service-final-state", report.ToString());
+    }
+  }
+
+  // Replays the same stream through the threaded service: Start() with two
+  // planner workers, WaitIdle, Stop. Concurrent plans race each other's
+  // commits, so they need not match the sequential oracle; what must hold is
+  // that every request resolves, that no LRA lands partly, and that the
+  // final state passes the full audit.
+  void RunThreadedServiceLeg(uint64_t seed, const Scenario& scenario, int family,
+                             const SchedulerConfig& config, runtime::ServiceConfig service_config,
+                             const std::string& name) {
+    service_config.num_workers = 2;
+    runtime::PlacementService service(service_config, scenario.state, scenario.manager);
+    service.Start([&] { return MakeScheduler(family, seed, config); });
+    for (const LraRequest& lra : scenario.lras) {
+      service.Submit(lra);
+    }
+    const bool idle = service.WaitIdle(std::chrono::seconds(60));
+    service.Stop();
+    ++result_.stats.threaded_service_runs;
+    if (!idle) {
+      Fail(seed, name, "threaded-service-drain", "requests still unresolved after 60 s");
+      return;
+    }
+    const runtime::ServiceMetrics metrics = service.metrics();
+    if (metrics.submitted != static_cast<long long>(scenario.lras.size()) ||
+        metrics.lras_placed + metrics.lras_rejected != metrics.submitted) {
+      std::ostringstream os;
+      os << "submitted " << metrics.submitted << " of " << scenario.lras.size() << ", placed "
+         << metrics.lras_placed << ", rejected " << metrics.lras_rejected;
+      Fail(seed, name, "threaded-service-resolution", os.str());
+    }
+    const auto manager = service.manager_snapshot();
+    InvariantReport report;
+    std::ostringstream partial;
+    long long fully_placed = 0;
+    service.WithLiveState([&](const ClusterState& live) {
+      report = InvariantChecker::CheckState(live, manager.get());
+      for (const LraRequest& lra : scenario.lras) {
+        const size_t landed =
+            live.ContainersOf(lra.app).size() - scenario.state.ContainersOf(lra.app).size();
+        if (landed == lra.containers.size()) {
+          ++fully_placed;
+        } else if (landed != 0) {
+          partial << "app " << lra.app.value << ": " << landed << " of " << lra.containers.size()
+                  << " containers; ";
+        }
+      }
+    });
+    if (!partial.str().empty()) {
+      Fail(seed, name, "threaded-service-partial-lra", partial.str());
+    }
+    if (fully_placed != metrics.lras_placed) {
+      Fail(seed, name, "threaded-service-resolution",
+           std::to_string(fully_placed) + " LRAs on the cluster, " +
+               std::to_string(metrics.lras_placed) + " reported placed");
+    }
+    if (!report.ok()) {
+      Fail(seed, name, "threaded-service-final-state", report.ToString());
     }
   }
 
@@ -906,7 +962,8 @@ std::string FuzzResult::Summary() const {
      << " (lp-solves=" << stats.lp_solves_compared << ")"
      << " simulations=" << stats.simulations
      << " service-runs=" << stats.service_runs
-     << " (service-batches=" << stats.service_batches << ")"
+     << " (service-batches=" << stats.service_batches
+     << ", threaded=" << stats.threaded_service_runs << ")"
      << " failures=" << failures.size();
   return os.str();
 }

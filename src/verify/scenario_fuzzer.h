@@ -31,7 +31,10 @@
 //     revalidating commits) and through a legacy mutex-sequential loop
 //     (direct Place + CommitPlan on the live state, same batching and
 //     requeue policy) yields bit-identical plans, identical committed
-//     placements, equal Eq. 1 objectives and identical final states;
+//     placements, equal Eq. 1 objectives and identical final states; the
+//     same stream through the threaded service (two planner workers)
+//     resolves every request, lands no LRA partly and ends in a state that
+//     passes the full audit;
 //   * a full Simulation pass (node failures, task churn, migration) with the
 //     audit hook installed stays invariant-clean.
 //
@@ -112,6 +115,7 @@ struct FuzzStats {
   int simulations = 0;
   int service_runs = 0;     // service-vs-sequential differential seeds
   int service_batches = 0;  // batches compared across the two legs
+  int threaded_service_runs = 0;  // the same streams through Start()/Stop()
 };
 
 struct FuzzResult {

@@ -23,18 +23,19 @@ void TakesBetaThenAlpha(Alpha* a, Beta* b) {
   sync::MutexLock inner(&a->mu_);
 }
 
-// Contradicts the documented order TwoSchedulerRuntime::mu_ -> PlanQueue::mu_
-// even without closing a cycle in this file.
-struct PlanQueue {
-  sync::Mutex mu_;
+// Contradicts the documented order
+// PlacementService::task_mu_ -> EpochClusterState::writer_mu_ even without
+// closing a cycle in this file.
+struct EpochClusterState {
+  sync::Mutex writer_mu_;
 };
-struct TwoSchedulerRuntime {
-  sync::Mutex mu_;
+struct PlacementService {
+  sync::Mutex task_mu_;
 };
 
-void WrongDocumentedOrder(PlanQueue* queue, TwoSchedulerRuntime* runtime) {
-  sync::MutexLock q(&queue->mu_);
-  sync::MutexLock r(&runtime->mu_);
+void WrongDocumentedOrder(EpochClusterState* epoch, PlacementService* service) {
+  sync::MutexLock w(&epoch->writer_mu_);
+  sync::MutexLock t(&service->task_mu_);
 }
 
 // sync::Mutex is non-reentrant: re-acquiring a held mutex self-deadlocks.

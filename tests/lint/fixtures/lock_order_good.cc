@@ -1,7 +1,8 @@
 // medea-lint fixture: clean sibling of lock_order_bad.cc — no findings.
 // Every function acquires in the same global order (Alpha before Beta,
-// TwoSchedulerRuntime before PlanQueue per the documented order), and
-// manual Lock/Unlock pairs release before re-acquiring.
+// PlacementService::task_mu_ before EpochClusterState::writer_mu_ per the
+// documented order), and manual Lock/Unlock pairs release before
+// re-acquiring.
 #include "common/sync/mutex.h"
 
 namespace medea::lintfix {
@@ -34,16 +35,16 @@ void HandOverHand(Alpha* a, Beta* b) {
   b->mu_.Unlock();
 }
 
-struct PlanQueue {
-  sync::Mutex mu_;
+struct EpochClusterState {
+  sync::Mutex writer_mu_;
 };
-struct TwoSchedulerRuntime {
-  sync::Mutex mu_;
+struct PlacementService {
+  sync::Mutex task_mu_;
 };
 
-void RightDocumentedOrder(PlanQueue* queue, TwoSchedulerRuntime* runtime) {
-  sync::MutexLock r(&runtime->mu_);
-  sync::MutexLock q(&queue->mu_);
+void RightDocumentedOrder(EpochClusterState* epoch, PlacementService* service) {
+  sync::MutexLock t(&service->task_mu_);
+  sync::MutexLock w(&epoch->writer_mu_);
 }
 
 }  // namespace medea::lintfix

@@ -9,8 +9,8 @@
 //      race against real tracing.
 //   2. External: multiple threads each running their own decomposed solve
 //      concurrently (the production shape once several scheduler instances
-//      share a process), and a decomposing ILP scheduler living inside the
-//      TwoSchedulerRuntime next to the scheduler + heartbeat threads.
+//      share a process), and a decomposing ILP scheduler planning inside the
+//      PlacementService next to its committer and task heartbeat threads.
 // medea-lint: allow-file(raw-sync): deliberate raw std::thread use — external pressure
 // threads here must not inherit the sync wrappers' annotations or extra ordering.
 
@@ -24,7 +24,7 @@
 
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/runtime/two_scheduler_runtime.h"
+#include "src/runtime/placement_service.h"
 #include "src/schedulers/ilp_scheduler.h"
 #include "src/solver/mip.h"
 #include "src/solver/testing/placement_model.h"
@@ -154,18 +154,15 @@ TEST(ParallelSolverThreadTest, ConcurrentParallelSolvesDoNotInterfere) {
 }
 
 TEST(ParallelSolverThreadTest, SolverWorkersCoexistWithRuntimeThreads) {
-  // The ILP scheduler spins up component workers INSIDE the runtime's LRA
-  // scheduler thread while the heartbeat thread churns — the exact thread
-  // topology of a production deployment (--runtime --solver-decompose
-  // --solver-threads N).
+  // The ILP scheduler spins up component workers INSIDE the service's
+  // planner thread while the committer commits and the heartbeat allocates
+  // task jobs — the exact thread topology of a production deployment
+  // (--runtime --solver-decompose --solver-threads N).
   obs::EnableMetrics(true);
   obs::MetricsRegistry::Default().Reset();
-  runtime::RuntimeConfig config;
-  config.num_nodes = 24;
-  config.num_racks = 4;
-  config.num_upgrade_domains = 4;
-  config.num_service_units = 4;
-  config.heartbeat_period = std::chrono::milliseconds(2);
+  runtime::ServiceConfig config;
+  // One planner, so the first cycle batches all four LRAs.
+  config.num_workers = 1;
 
   SchedulerConfig sched_config;
   sched_config.node_pool_size = 24;
@@ -178,19 +175,21 @@ TEST(ParallelSolverThreadTest, SolverWorkersCoexistWithRuntimeThreads) {
   sched_config.x_var_budget = 1;
   sched_config.seed = 11;
 
-  runtime::TwoSchedulerRuntime runtime(config,
-                                       std::make_unique<MedeaIlpScheduler>(sched_config));
+  ClusterState initial =
+      ClusterBuilder().NumNodes(24).NumRacks(4).NumUpgradeDomains(4).NumServiceUnits(4).Build();
+  ConstraintManager manager(initial.groups_ptr());
+  runtime::PlacementService service(config, std::move(initial), std::move(manager));
   // Submitted before Start, so the first cycle batches all four LRAs.
   for (int i = 0; i < 4; ++i) {
     const ApplicationId app(static_cast<uint32_t>(1 + i));
-    runtime.SubmitLra(runtime.BuildSpec([&](TagPool& tags) {
-      return MakeGenericLra(app, tags, 3, "par");
-    }));
+    service.SubmitSpec([&](TagPool& tags) { return MakeGenericLra(app, tags, 3, "par"); });
   }
-  runtime.Start();
-  ASSERT_TRUE(runtime.WaitLraIdle(std::chrono::minutes(3)));
-  runtime.Stop();
-  const runtime::RuntimeMetrics metrics = runtime.metrics();
+  // Task churn keeps the heartbeat allocating while the solve runs.
+  service.SubmitTaskJob(std::vector<TaskRequest>(16, TaskRequest(Resource(512, 1), 5)));
+  service.Start([&] { return std::make_unique<MedeaIlpScheduler>(sched_config); });
+  ASSERT_TRUE(service.WaitIdle(std::chrono::minutes(3)));
+  service.Stop();
+  const runtime::ServiceMetrics metrics = service.metrics();
   EXPECT_EQ(metrics.lras_placed + metrics.lras_rejected, 4);
   // The batched cycle split into several components, so the worker pool ran.
   EXPECT_GE(obs::MetricsRegistry::Default()

@@ -1,11 +1,12 @@
 // Copyright (c) Medea reproduction authors.
-// Concurrency stress test for the TwoSchedulerRuntime, designed to run under
-// ThreadSanitizer (the `tsan` CMake preset / CI job): several client threads
-// submit LRAs while task jobs churn, nodes fail and recover, and migration
-// cycles run — all racing against the LRA scheduler thread and the heartbeat
-// thread. A ScopedInvariantAudit independently certifies every committed
-// plan and state mutation while the races are in flight, and the final state
-// must pass InvariantChecker::CheckState from first principles.
+// Concurrency stress test for the threaded PlacementService, designed to run
+// under ThreadSanitizer (the `tsan` CMake preset / CI job): several client
+// threads submit LRAs while task jobs churn, nodes fail and recover, and
+// migration cycles run — all racing against the planner workers, the
+// committer and the heartbeat thread. A ScopedInvariantAudit independently
+// certifies every committed plan and state mutation while the races are in
+// flight, and the final state must pass InvariantChecker::CheckState from
+// first principles.
 // medea-lint: allow-file(raw-sync): deliberate raw std::thread use — client threads
 // simulate untrusted external callers that do not go through src/common/sync.
 
@@ -19,7 +20,7 @@
 
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/runtime/two_scheduler_runtime.h"
+#include "src/runtime/placement_service.h"
 #include "src/schedulers/greedy.h"
 #include "src/verify/invariant_checker.h"
 #include "src/workload/lra_templates.h"
@@ -34,17 +35,27 @@ std::unique_ptr<LraScheduler> MakeScheduler() {
   return std::make_unique<GreedyScheduler>(GreedyOrdering::kNodeCandidates, config);
 }
 
-RuntimeConfig StressConfig() {
-  RuntimeConfig config;
-  config.num_nodes = 32;
-  config.num_racks = 4;
-  config.num_upgrade_domains = 4;
-  config.num_service_units = 4;
-  config.heartbeat_period = std::chrono::milliseconds(1);
+ServiceConfig StressConfig() {
+  ServiceConfig config;
   config.plan_queue_capacity = 2;  // small, so backpressure actually engages
-  config.max_lra_attempts = 3;
+  config.max_attempts = 3;
   config.migration_every_heartbeats = 16;
   return config;
+}
+
+// A 32-node cluster and an empty constraint manager over it.
+struct Cluster {
+  ClusterState state =
+      ClusterBuilder().NumNodes(32).NumRacks(4).NumUpgradeDomains(4).NumServiceUnits(4).Build();
+  ConstraintManager manager{state.groups_ptr()};
+};
+
+void ExpectInvariantsHold(PlacementService& service) {
+  const auto manager = service.manager_snapshot();
+  service.WithLiveState([&](const ClusterState& state) {
+    const auto report = verify::InvariantChecker::CheckState(state, manager.get());
+    EXPECT_TRUE(report.ok()) << report.ToString();
+  });
 }
 
 TEST(RuntimeStressTest, ConcurrentSubmissionsChurnAndFailuresKeepInvariants) {
@@ -56,8 +67,9 @@ TEST(RuntimeStressTest, ConcurrentSubmissionsChurnAndFailuresKeepInvariants) {
   obs::TraceRecorder::Default().Enable(1 << 12);
 
   verify::ScopedInvariantAudit audit(/*abort_on_violation=*/false);
-  TwoSchedulerRuntime runtime(StressConfig(), MakeScheduler());
-  runtime.Start();
+  Cluster cluster;
+  PlacementService service(StressConfig(), cluster.state, cluster.manager);
+  service.Start(MakeScheduler);
 
   constexpr int kSubmitters = 3;
   // Sized so the run drains within the idle timeout even under TSan's
@@ -68,10 +80,10 @@ TEST(RuntimeStressTest, ConcurrentSubmissionsChurnAndFailuresKeepInvariants) {
   std::vector<std::thread> workers;
   // LRA submitters: template-built apps with real tag constraints.
   for (int s = 0; s < kSubmitters; ++s) {
-    workers.emplace_back([&runtime, &submitted, s] {
+    workers.emplace_back([&service, &submitted, s] {
       for (int i = 0; i < kLrasPerSubmitter; ++i) {
         const ApplicationId app(static_cast<uint32_t>(1 + s * 100 + i));
-        LraSpec spec = runtime.BuildSpec([&](TagPool& tags) {
+        service.SubmitSpec([&](TagPool& tags) {
           switch (i % 3) {
             case 0:
               return MakeHBaseInstance(app, tags, /*num_workers=*/4);
@@ -81,7 +93,6 @@ TEST(RuntimeStressTest, ConcurrentSubmissionsChurnAndFailuresKeepInvariants) {
               return MakeGenericLra(app, tags, 3, "svc" + std::to_string(s));
           }
         });
-        runtime.SubmitLra(std::move(spec));
         submitted.fetch_add(1, std::memory_order_relaxed);
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
@@ -89,35 +100,34 @@ TEST(RuntimeStressTest, ConcurrentSubmissionsChurnAndFailuresKeepInvariants) {
   }
   // Task churn: short-lived jobs keep the heartbeat allocating (and
   // invalidating LRA snapshots, so the stale-plan path is exercised).
-  workers.emplace_back([&runtime] {
+  workers.emplace_back([&service] {
     for (int i = 0; i < 20; ++i) {
       std::vector<TaskRequest> tasks;
       for (int t = 0; t < 6; ++t) {
         tasks.emplace_back(Resource(512, 1), /*duration_ms=*/4 + (i + t) % 7);
       }
-      runtime.SubmitTaskJob(std::move(tasks));
+      service.SubmitTaskJob(std::move(tasks));
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
   });
   // Chaos: nodes fail and recover while placements are being committed.
-  workers.emplace_back([&runtime] {
+  workers.emplace_back([&service] {
     for (int i = 0; i < 6; ++i) {
       const NodeId node(static_cast<uint32_t>((i * 5) % 32));
-      runtime.NodeDown(node);
+      service.NodeDown(node);
       std::this_thread::sleep_for(std::chrono::milliseconds(4));
-      runtime.NodeUp(node);
+      service.NodeUp(node);
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
   });
   // Readers: concurrent observation must be clean under TSan too.
-  workers.emplace_back([&runtime] {
+  workers.emplace_back([&service] {
     for (int i = 0; i < 40; ++i) {
-      (void)runtime.metrics();
-      (void)runtime.pending_lras();
-      (void)runtime.pending_tasks();
-      (void)runtime.running_tasks();
-      const ClusterState snapshot = runtime.SnapshotState();
+      (void)service.metrics();
+      (void)service.manager_snapshot()->size();
+      const ClusterState snapshot = service.AcquireSnapshot()->state;
       (void)snapshot.num_containers();
+      service.WithLiveState([](const ClusterState& live) { (void)live.num_containers(); });
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   });
@@ -126,15 +136,16 @@ TEST(RuntimeStressTest, ConcurrentSubmissionsChurnAndFailuresKeepInvariants) {
     worker.join();
   }
 
-  ASSERT_TRUE(runtime.WaitLraIdle(std::chrono::minutes(3)));
-  runtime.Stop();
+  ASSERT_TRUE(service.WaitIdle(std::chrono::minutes(3)));
+  service.Stop();
 
-  const RuntimeMetrics metrics = runtime.metrics();
-  EXPECT_GT(metrics.lra_cycles, 0);
+  const ServiceMetrics metrics = service.metrics();
+  EXPECT_GT(metrics.batches, 0);
   EXPECT_GT(metrics.heartbeats, 0);
+  EXPECT_GT(metrics.tasks_completed, 0);
   // Every submission is eventually resolved: placed or rejected.
-  EXPECT_EQ(metrics.lras_placed + metrics.lras_rejected,
-            submitted.load(std::memory_order_relaxed));
+  EXPECT_EQ(metrics.submitted, submitted.load(std::memory_order_relaxed));
+  EXPECT_EQ(metrics.lras_placed + metrics.lras_rejected, metrics.submitted);
 
   // The concurrent audit saw every commit; none may have violated an
   // invariant.
@@ -143,19 +154,17 @@ TEST(RuntimeStressTest, ConcurrentSubmissionsChurnAndFailuresKeepInvariants) {
   EXPECT_TRUE(failures.empty()) << failures.front();
 
   // And the final state must be internally consistent from first principles.
-  runtime.WithStateLocked([](const ClusterState& state, const ConstraintManager& manager) {
-    const auto report = verify::InvariantChecker::CheckState(state, &manager);
-    EXPECT_TRUE(report.ok()) << report.ToString();
-  });
+  ExpectInvariantsHold(service);
 
-  // The instrumented hot paths actually reported: both runtime threads left
-  // spans in the ring and the commit path counted every placement.
+  // The instrumented hot paths actually reported: the service threads left
+  // spans in the ring and the commit path counted every placement,
+  // failover replacements included.
   EXPECT_GT(obs::MetricsRegistry::Default()
-                .CounterNamed("runtime.plans_committed")
+                .CounterNamed("service.plans_committed")
                 .value(),
             0);
-  EXPECT_EQ(obs::MetricsRegistry::Default().CounterNamed("runtime.lras_placed").value(),
-            metrics.lras_placed);
+  EXPECT_EQ(obs::MetricsRegistry::Default().CounterNamed("service.lras_placed").value(),
+            metrics.lras_placed + metrics.failover_replacements);
   EXPECT_FALSE(obs::TraceRecorder::Default().Snapshot().empty());
   obs::EnableMetrics(false);
   obs::TraceRecorder::Default().Disable();
@@ -172,7 +181,7 @@ TEST(RuntimeStressTest, BackpressureBlocksProducerUntilConsumerDrains) {
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(second_pushed.load());
   PlanEnvelope envelope;
-  ASSERT_TRUE(queue.TryPop(&envelope));
+  ASSERT_TRUE(queue.Pop(&envelope));
   producer.join();
   EXPECT_TRUE(second_pushed.load());
   EXPECT_EQ(queue.size(), 1u);
@@ -188,32 +197,39 @@ TEST(RuntimeStressTest, CloseUnblocksProducerAndKeepsPendingPoppable) {
   queue.Close();
   producer.join();
   PlanEnvelope envelope;
-  EXPECT_TRUE(queue.TryPop(&envelope));  // pre-close envelope drains
-  EXPECT_FALSE(queue.TryPop(&envelope));
+  EXPECT_TRUE(queue.Pop(&envelope));  // pre-close envelope drains
+  EXPECT_FALSE(queue.Pop(&envelope));   // closed and empty: no wait
   EXPECT_FALSE(queue.Push(PlanEnvelope{}));
 }
 
 TEST(RuntimeStressTest, StopDrainsComputedPlans) {
-  RuntimeConfig config = StressConfig();
-  // A slow heartbeat, so Stop() itself must drain whatever the LRA thread
-  // computed but the heartbeat never consumed.
-  config.heartbeat_period = std::chrono::milliseconds(250);
-  TwoSchedulerRuntime runtime(config, MakeScheduler());
-  runtime.Start();
-  for (int i = 0; i < 4; ++i) {
+  // Stop() right behind a burst of submissions: whatever the planners had
+  // already pushed into the PlanQueue must still be committed, so every
+  // enqueued envelope is counted as committed once Stop() returns.
+  obs::EnableMetrics(true);
+  obs::MetricsRegistry::Default().Reset();
+  Cluster cluster;
+  ServiceConfig config = StressConfig();
+  config.num_workers = 3;
+  PlacementService service(config, cluster.state, cluster.manager);
+  service.Start(MakeScheduler);
+  for (int i = 0; i < 24; ++i) {
     const ApplicationId app(static_cast<uint32_t>(1000 + i));
-    runtime.SubmitLra(
-        runtime.BuildSpec([&](TagPool& tags) { return MakeGenericLra(app, tags, 2, "drain"); }));
+    service.SubmitSpec([&](TagPool& tags) { return MakeGenericLra(app, tags, 2, "drain"); });
   }
-  // Give the LRA thread a moment to compute, then stop before a heartbeat.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  runtime.Stop();
-  const RuntimeMetrics metrics = runtime.metrics();
-  EXPECT_GT(metrics.lras_placed + metrics.lras_rejected + metrics.lra_resubmissions, 0);
-  runtime.WithStateLocked([](const ClusterState& state, const ConstraintManager& manager) {
-    const auto report = verify::InvariantChecker::CheckState(state, &manager);
-    EXPECT_TRUE(report.ok()) << report.ToString();
-  });
+  auto& registry = obs::MetricsRegistry::Default();
+  for (int spins = 0; spins < 5000 && registry.CounterNamed("runtime.plans_enqueued").value() == 0;
+       ++spins) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  service.Stop();
+  const auto enqueued = registry.CounterNamed("runtime.plans_enqueued").value();
+  EXPECT_GT(enqueued, 0);
+  EXPECT_EQ(registry.CounterNamed("service.plans_committed").value(), enqueued);
+  const ServiceMetrics metrics = service.metrics();
+  EXPECT_GT(metrics.lras_placed + metrics.lras_rejected + metrics.resubmissions, 0);
+  ExpectInvariantsHold(service);
+  obs::EnableMetrics(false);
 }
 
 }  // namespace

@@ -371,29 +371,31 @@ TEST(ConflictPolicyTest, ResubmitIsDefault) {
 
 TEST(TaskSchedulerReservationTest, ReservationBlocksTasksUntilReleased) {
   ClusterState state = ClusterBuilder().NumNodes(2).NumRacks(1).Build();
-  TaskScheduler sched(&state);
+  TaskScheduler sched;
   // Reserve all of node 0 and node 1.
   sched.AddReservation(ApplicationId(7), {{NodeId(0), Resource(16 * 1024, 8)},
                                           {NodeId(1), Resource(16 * 1024, 8)}});
   sched.SubmitJob(ApplicationId(1), "default", {TaskRequest{Resource(1024, 1), 1000}}, 0);
-  EXPECT_TRUE(sched.Tick(0).empty());
+  EXPECT_TRUE(sched.Tick(state, 0).empty());
   sched.ReleaseReservation(ApplicationId(7));
-  EXPECT_EQ(sched.Tick(1).size(), 1u);
+  EXPECT_EQ(sched.Tick(state, 1).size(), 1u);
 }
 
 TEST(TaskSchedulerReservationTest, EvictRequeuesAtHead) {
   ClusterState state = ClusterBuilder().NumNodes(1).NumRacks(1).Build();
-  TaskScheduler sched(&state);
+  TaskScheduler sched;
   sched.SubmitJob(ApplicationId(1), "default", {TaskRequest{Resource(1024, 1), 5000}}, 0);
-  const auto allocations = sched.Tick(0);
+  const auto allocations = sched.Tick(state, 0);
   ASSERT_EQ(allocations.size(), 1u);
   EXPECT_TRUE(sched.IsRunning(allocations[0].container));
-  ASSERT_TRUE(sched.EvictTask(allocations[0].container, 100, 5000).ok());
+  ASSERT_TRUE(sched.EvictTask(state, allocations[0].container, 100).ok());
   EXPECT_FALSE(sched.IsRunning(allocations[0].container));
   EXPECT_EQ(sched.pending_tasks(), 1u);
   EXPECT_EQ(state.num_containers(), 0u);
-  // It reruns on the next tick.
-  EXPECT_EQ(sched.Tick(200).size(), 1u);
+  // It reruns on the next tick, for its full duration again.
+  const auto rerun = sched.Tick(state, 200);
+  ASSERT_EQ(rerun.size(), 1u);
+  EXPECT_EQ(rerun[0].end_time, 200 + 5000);
 }
 
 // ---- Unavailability trace ------------------------------------------------------

@@ -14,7 +14,6 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -214,39 +213,22 @@ TEST(SnapshotStateThreadTest, ServiceStressKeepsInvariantsUnderFailover) {
   constexpr int kSubmitters = 3;
   constexpr int kLrasPerSubmitter = 8;
   std::atomic<int> submitted{0};
-  // Operator (shared) constraints are cluster-wide: register each text once.
-  // The set is only touched inside WithManager callbacks, which the service
-  // serializes under its lock.
-  std::set<std::string> operator_texts;
 
   std::vector<std::thread> threads;
   for (int s = 0; s < kSubmitters; ++s) {
-    threads.emplace_back([&service, &submitted, &operator_texts, s] {
+    threads.emplace_back([&service, &submitted, s] {
       for (int i = 0; i < kLrasPerSubmitter; ++i) {
         const ApplicationId app(static_cast<uint32_t>(1 + s * 100 + i));
-        LraSpec spec;
-        service.WithManager([&](ConstraintManager& m) {
+        service.SubmitSpec([&](TagPool& tags) {
           switch (i % 3) {
             case 0:
-              spec = MakeHBaseInstance(app, m.tags(), /*num_workers=*/4);
-              break;
+              return MakeHBaseInstance(app, tags, /*num_workers=*/4);
             case 1:
-              spec = MakeTensorFlowInstance(app, m.tags(), /*num_workers=*/3, /*num_ps=*/1);
-              break;
+              return MakeTensorFlowInstance(app, tags, /*num_workers=*/3, /*num_ps=*/1);
             default:
-              spec = MakeGenericLra(app, m.tags(), 3, "svc" + std::to_string(s));
-              break;
-          }
-          for (const std::string& text : spec.shared_constraints) {
-            if (operator_texts.insert(text).second) {
-              ASSERT_TRUE(m.AddFromText(text, ConstraintOrigin::kOperator).ok());
-            }
-          }
-          for (const std::string& text : spec.app_constraints) {
-            ASSERT_TRUE(m.AddFromText(text, ConstraintOrigin::kApplication, app).ok());
+              return MakeGenericLra(app, tags, 3, "svc" + std::to_string(s));
           }
         });
-        service.Submit(std::move(spec.request));
         submitted.fetch_add(1, std::memory_order_relaxed);
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
@@ -287,9 +269,9 @@ TEST(SnapshotStateThreadTest, ServiceStressKeepsInvariantsUnderFailover) {
   const ServiceMetrics metrics = service.metrics();
   EXPECT_EQ(metrics.submitted, submitted.load(std::memory_order_relaxed));
   EXPECT_GT(metrics.batches, 0);
-  // Resolution accounting closes: everything submitted plus every failover
-  // request landed or was rejected.
+  // Resolution accounting closes: every submission landed or was rejected.
   EXPECT_GT(metrics.lras_placed, 0);
+  EXPECT_EQ(metrics.lras_placed + metrics.lras_rejected, metrics.submitted);
 
   service.Stop();
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/schedulers/placement.h"
 #include "src/tasksched/task_scheduler.h"
 
 namespace medea {
@@ -26,9 +27,9 @@ std::vector<TaskRequest> Tasks(int n, Resource demand = Resource(1024, 1),
 
 TEST(TaskSchedulerTest, AllocatesPendingTasks) {
   ClusterState state = SmallCluster();
-  TaskScheduler sched(&state);
+  TaskScheduler sched;
   sched.SubmitJob(ApplicationId(1), "default", Tasks(3), 0);
-  const auto allocations = sched.Tick(1000);
+  const auto allocations = sched.Tick(state, 1000);
   EXPECT_EQ(allocations.size(), 3u);
   EXPECT_EQ(state.num_containers(), 3u);
   EXPECT_EQ(sched.pending_tasks(), 0u);
@@ -40,9 +41,9 @@ TEST(TaskSchedulerTest, AllocatesPendingTasks) {
 
 TEST(TaskSchedulerTest, SpreadsAcrossLeastLoadedNodes) {
   ClusterState state = SmallCluster();
-  TaskScheduler sched(&state);
+  TaskScheduler sched;
   sched.SubmitJob(ApplicationId(1), "default", Tasks(4), 0);
-  sched.Tick(0);
+  sched.Tick(state, 0);
   // Least-loaded placement should land one task per node.
   state.ForEachNode([&](const Node& node) {
     EXPECT_EQ(node.containers().size(), 1u);
@@ -51,63 +52,63 @@ TEST(TaskSchedulerTest, SpreadsAcrossLeastLoadedNodes) {
 
 TEST(TaskSchedulerTest, RespectsNodeCapacity) {
   ClusterState state = SmallCluster();
-  TaskScheduler sched(&state);
+  TaskScheduler sched;
   // 4 nodes x 4 cores = 16 tasks of 1 core fit; the rest stay pending.
   sched.SubmitJob(ApplicationId(1), "default", Tasks(20, Resource(512, 1)), 0);
-  sched.Tick(0);
+  sched.Tick(state, 0);
   EXPECT_EQ(state.num_containers(), 16u);
   EXPECT_EQ(sched.pending_tasks(), 4u);
 }
 
 TEST(TaskSchedulerTest, CompletionFreesResources) {
   ClusterState state = SmallCluster();
-  TaskScheduler sched(&state);
+  TaskScheduler sched;
   sched.SubmitJob(ApplicationId(1), "default", Tasks(16, Resource(512, 1)), 0);
-  auto allocations = sched.Tick(0);
+  auto allocations = sched.Tick(state, 0);
   ASSERT_EQ(allocations.size(), 16u);
   sched.SubmitJob(ApplicationId(2), "default", Tasks(1, Resource(512, 1)), 0);
-  EXPECT_TRUE(sched.Tick(0).empty());  // cluster cores exhausted
-  sched.CompleteTask(allocations[0].container);
-  EXPECT_EQ(sched.Tick(1000).size(), 1u);
+  EXPECT_TRUE(sched.Tick(state, 0).empty());  // cluster cores exhausted
+  sched.CompleteTask(state, allocations[0].container);
+  EXPECT_EQ(sched.Tick(state, 1000).size(), 1u);
 }
 
 TEST(TaskSchedulerTest, QueueCapacityCaps) {
   ClusterState state = SmallCluster();  // total 32 GB, 16 cores
-  TaskScheduler sched(&state, {QueueConfig{"prod", 0.5}, QueueConfig{"batch", 0.5}});
+  TaskScheduler sched({QueueConfig{"prod", 0.5}, QueueConfig{"batch", 0.5}});
   // prod may use at most 16 GB / 8 cores -> 8 tasks of <2GB, 1 core>.
   sched.SubmitJob(ApplicationId(1), "prod", Tasks(12, Resource(2048, 1)), 0);
-  sched.Tick(0);
+  sched.Tick(state, 0);
   EXPECT_EQ(state.num_containers(), 8u);
   EXPECT_EQ(sched.pending_tasks(), 4u);
   // batch still has its own headroom.
   sched.SubmitJob(ApplicationId(2), "batch", Tasks(4, Resource(2048, 1)), 0);
-  sched.Tick(0);
+  sched.Tick(state, 0);
   EXPECT_EQ(state.num_containers(), 12u);
 }
 
 TEST(TaskSchedulerTest, UnknownQueueFallsBack) {
   ClusterState state = SmallCluster();
-  TaskScheduler sched(&state, {QueueConfig{"only", 1.0}});
+  TaskScheduler sched({QueueConfig{"only", 1.0}});
   sched.SubmitJob(ApplicationId(1), "nope", Tasks(1), 0);
-  EXPECT_EQ(sched.Tick(0).size(), 1u);
+  EXPECT_EQ(sched.Tick(state, 0).size(), 1u);
 }
 
 TEST(TaskSchedulerTest, FifoWithinQueue) {
   ClusterState state = SmallCluster();
-  TaskScheduler sched(&state);
+  TaskScheduler sched;
   // First job too big to fit blocks the head of the queue (head-of-line,
   // like the Capacity Scheduler's FIFO leaf policy).
   sched.SubmitJob(ApplicationId(1), "default", Tasks(1, Resource(9 * 1024, 1)), 0);
   sched.SubmitJob(ApplicationId(2), "default", Tasks(1, Resource(1024, 1)), 0);
-  EXPECT_TRUE(sched.Tick(0).empty());
+  EXPECT_TRUE(sched.Tick(state, 0).empty());
   EXPECT_EQ(sched.pending_tasks(), 2u);
 }
 
 TEST(TaskSchedulerTest, TracksAllocationLatency) {
   ClusterState state = SmallCluster();
-  TaskScheduler sched(&state);
+  TaskScheduler sched;
   sched.SubmitJob(ApplicationId(1), "default", Tasks(2), 100);
-  sched.Tick(600);
+  sched.Tick(state, 600);
   ASSERT_EQ(sched.allocation_latency_ms().Count(), 2u);
   EXPECT_DOUBLE_EQ(sched.allocation_latency_ms().Mean(), 500.0);
 }
@@ -117,13 +118,13 @@ TEST(TaskSchedulerTest, FairPolicySharesBetweenApps) {
   QueueConfig queue;
   queue.name = "fair";
   queue.policy = QueuePolicy::kFair;
-  TaskScheduler sched(&state, {queue});
+  TaskScheduler sched({queue});
   // App 1 floods the queue first; app 2 submits later. Under FIFO app 2
   // would starve behind app 1's backlog; fair sharing alternates.
   sched.SubmitJob(ApplicationId(1), "fair", Tasks(12, Resource(2048, 1)), 0);
   sched.SubmitJob(ApplicationId(2), "fair", Tasks(12, Resource(2048, 1)), 0);
   // Capacity: 4 nodes x 4 cores = 16 slots; both backlogs exceed it.
-  const auto allocations = sched.Tick(0);
+  const auto allocations = sched.Tick(state, 0);
   ASSERT_EQ(allocations.size(), 16u);
   int app2 = 0;
   for (const auto& a : allocations) {
@@ -134,10 +135,10 @@ TEST(TaskSchedulerTest, FairPolicySharesBetweenApps) {
 
 TEST(TaskSchedulerTest, FifoPolicyServesInOrder) {
   ClusterState state = SmallCluster();
-  TaskScheduler sched(&state);  // default FIFO
+  TaskScheduler sched;  // default FIFO
   sched.SubmitJob(ApplicationId(1), "default", Tasks(12, Resource(2048, 1)), 0);
   sched.SubmitJob(ApplicationId(2), "default", Tasks(12, Resource(2048, 1)), 0);
-  const auto allocations = sched.Tick(0);
+  const auto allocations = sched.Tick(state, 0);
   ASSERT_EQ(allocations.size(), 16u);
   for (size_t i = 0; i < 12; ++i) {
     EXPECT_EQ(allocations[i].app, ApplicationId(1));
@@ -156,20 +157,20 @@ TEST(TaskSchedulerTest, TaggedTaskFollowsItsConstraint) {
                   .AddFromText("{etl, {mem, 1, inf}, node}", ConstraintOrigin::kApplication,
                                ApplicationId(1))
                   .ok());
-  TaskScheduler sched(&state, {}, &manager);
+  TaskScheduler sched;
   TaskRequest task{Resource(1024, 1), 1000, {etl}};
   sched.SubmitJob(ApplicationId(1), "default", {task}, 0);
-  const auto allocations = sched.Tick(0);
+  const auto allocations = sched.Tick(state, 0, &manager);
   ASSERT_EQ(allocations.size(), 1u);
   EXPECT_EQ(allocations[0].node, NodeId(2));  // next to the memcached LRA
 }
 
 TEST(TaskSchedulerTest, TaggedTaskWithoutManagerFallsBack) {
   ClusterState state = SmallCluster();
-  TaskScheduler sched(&state);  // no manager: tags carried but not steered
+  TaskScheduler sched;  // no manager: tags carried but not steered
   TaskRequest task{Resource(1024, 1), 1000, {TagId(3)}};
   sched.SubmitJob(ApplicationId(1), "default", {task}, 0);
-  const auto allocations = sched.Tick(0);
+  const auto allocations = sched.Tick(state, 0);
   ASSERT_EQ(allocations.size(), 1u);
   // The tags still land on the container (they count toward gamma).
   const ContainerInfo* info = state.FindContainer(allocations[0].container);
@@ -179,7 +180,7 @@ TEST(TaskSchedulerTest, TaggedTaskWithoutManagerFallsBack) {
 
 TEST(TaskSchedulerTest, CommitLraPlanAllocatesLongRunning) {
   ClusterState state = SmallCluster();
-  TaskScheduler sched(&state);
+  TaskScheduler sched;
   LraRequest lra;
   lra.app = ApplicationId(7);
   lra.containers.push_back(ContainerRequest{Resource(1024, 1), {TagId(0)}});
@@ -190,17 +191,17 @@ TEST(TaskSchedulerTest, CommitLraPlanAllocatesLongRunning) {
   plan.lra_placed = {true};
   plan.assignments = {{0, 0, NodeId(2)}};
   std::vector<bool> committed;
-  EXPECT_TRUE(sched.CommitLraPlan(problem, plan, &committed));
+  EXPECT_TRUE(CommitPlan(problem, plan, state, &committed));
   EXPECT_TRUE(committed[0]);
   EXPECT_EQ(state.num_long_running_containers(), 1u);
 }
 
 TEST(TaskSchedulerTest, CommitConflictReportsFailure) {
   ClusterState state = SmallCluster();
-  TaskScheduler sched(&state);
+  TaskScheduler sched;
   // Fill node 2 with tasks so the stale plan no longer fits.
   sched.SubmitJob(ApplicationId(1), "default", Tasks(4, Resource(8 * 1024, 1)), 0);
-  sched.Tick(0);
+  sched.Tick(state, 0);
   LraRequest lra;
   lra.app = ApplicationId(7);
   lra.containers.push_back(ContainerRequest{Resource(1024, 1), {}});
@@ -211,7 +212,7 @@ TEST(TaskSchedulerTest, CommitConflictReportsFailure) {
   plan.lra_placed = {true};
   plan.assignments = {{0, 0, NodeId(2)}};
   std::vector<bool> committed;
-  EXPECT_FALSE(sched.CommitLraPlan(problem, plan, &committed));
+  EXPECT_FALSE(CommitPlan(problem, plan, state, &committed));
   EXPECT_FALSE(committed[0]);
   EXPECT_EQ(state.num_long_running_containers(), 0u);
 }

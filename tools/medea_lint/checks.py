@@ -51,7 +51,7 @@ class Context:
 # code"): an extracted edge that is the *reverse* of one of these is an
 # error even when it does not close a full cycle in the scanned set.
 DOCUMENTED_ORDER = [
-    ("TwoSchedulerRuntime::mu_", "PlanQueue::mu_"),
+    ("PlacementService::task_mu_", "EpochClusterState::writer_mu_"),
     ("EpochClusterState::writer_mu_", "EpochClusterState::publish_mu_"),
 ]
 

@@ -50,7 +50,7 @@ class Scope:
     close_index: int = -1  # token index of matching '}'
     children: list["Scope"] = field(default_factory=list)
     # CLASS scopes: member name -> type spelling (e.g. "PlanQueue",
-    # "sync::Mutex", "TwoSchedulerRuntime*").
+    # "sync::Mutex", "PlacementService*").
     members: dict[str, str] = field(default_factory=dict)
     # FUNCTION scopes only.
     annotations: dict[str, list[str]] = field(default_factory=dict)
