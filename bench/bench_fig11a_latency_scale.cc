@@ -48,21 +48,11 @@ void RunCase(::benchmark::State& bench_state, const std::string& scheduler_name,
   std::vector<LraSpec> specs;
   specs.push_back(MakeHBaseInstance(ApplicationId(1), manager.tags(), 10));
   specs.push_back(MakeHBaseInstance(ApplicationId(2), manager.tags(), 10));
-  std::vector<std::string> shared_seen;
   PlacementProblem problem;
   problem.state = &state;
   problem.manager = &manager;
   for (LraSpec& spec : specs) {
-    for (const auto& text : spec.shared_constraints) {
-      if (std::find(shared_seen.begin(), shared_seen.end(), text) == shared_seen.end()) {
-        shared_seen.push_back(text);
-        MEDEA_CHECK(manager.AddFromText(text, ConstraintOrigin::kOperator).ok());
-      }
-    }
-    for (const auto& text : spec.app_constraints) {
-      MEDEA_CHECK(
-          manager.AddFromText(text, ConstraintOrigin::kApplication, spec.request.app).ok());
-    }
+    MEDEA_CHECK(RegisterLraConstraints(spec, manager).ok());
     problem.lras.push_back(spec.request);
   }
 

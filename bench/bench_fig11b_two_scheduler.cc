@@ -108,21 +108,11 @@ DesignResult RunDesign(bool single_scheduler, double services_fraction) {
       static_cast<int>((1.0 - services_fraction) * total_mb / 2048.0);
   const int task_batches = (task_count + kTasksPerBatch - 1) / kTasksPerBatch;
 
-  std::vector<std::string> shared_seen;
-
   for (const Unit& unit : Arrivals(instances, task_batches)) {
     if (unit.is_lra) {
       const ApplicationId app(static_cast<uint32_t>(unit.index + 1));
       LraSpec spec = MakeHBaseInstance(app, manager.tags(), 10);
-      for (const auto& text : spec.shared_constraints) {
-        if (std::find(shared_seen.begin(), shared_seen.end(), text) == shared_seen.end()) {
-          shared_seen.push_back(text);
-          MEDEA_CHECK(manager.AddFromText(text, ConstraintOrigin::kOperator).ok());
-        }
-      }
-      for (const auto& text : spec.app_constraints) {
-        MEDEA_CHECK(manager.AddFromText(text, ConstraintOrigin::kApplication, app).ok());
-      }
+      MEDEA_CHECK(RegisterLraConstraints(spec, manager).ok());
       PlacementProblem problem;
       problem.state = &state;
       problem.manager = &manager;

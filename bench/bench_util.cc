@@ -15,7 +15,6 @@ DeployResult DeployLras(ClusterState& state, ConstraintManager& manager,
                         LraScheduler& scheduler, const std::vector<LraSpec>& specs,
                         int batch_size) {
   DeployResult result;
-  std::vector<std::string> shared_seen;
   size_t next = 0;
   while (next < specs.size()) {
     PlacementProblem problem;
@@ -24,16 +23,7 @@ DeployResult DeployLras(ClusterState& state, ConstraintManager& manager,
     const size_t end = std::min(specs.size(), next + static_cast<size_t>(batch_size));
     for (size_t i = next; i < end; ++i) {
       const LraSpec& spec = specs[i];
-      for (const auto& text : spec.shared_constraints) {
-        if (std::find(shared_seen.begin(), shared_seen.end(), text) == shared_seen.end()) {
-          shared_seen.push_back(text);
-          MEDEA_CHECK(manager.AddFromText(text, ConstraintOrigin::kOperator).ok());
-        }
-      }
-      for (const auto& text : spec.app_constraints) {
-        MEDEA_CHECK(
-            manager.AddFromText(text, ConstraintOrigin::kApplication, spec.request.app).ok());
-      }
+      MEDEA_CHECK(RegisterLraConstraints(spec, manager).ok());
       problem.lras.push_back(spec.request);
     }
     const PlacementPlan plan = scheduler.Place(problem);

@@ -22,7 +22,11 @@ uint32_t CurrentThreadId() {
 }
 
 void SetCurrentThreadName(const std::string& name) {
-  TraceRecorder::Default().RegisterThreadName(CurrentThreadId(), name);
+  // Only while tracing: the registry keeps one entry per named thread, and
+  // every short-lived service thread names itself.
+  if (TraceRecorder::Default().enabled()) {
+    TraceRecorder::Default().RegisterThreadName(CurrentThreadId(), name);
+  }
 }
 
 TraceRecorder& TraceRecorder::Default() {

@@ -38,7 +38,9 @@ namespace medea::obs {
 // Small dense id of the calling thread (assigned on first use).
 uint32_t CurrentThreadId();
 // Registers a display name for the calling thread (shown as the Perfetto
-// track name). Safe to call from any thread, any number of times.
+// track name) while tracing is enabled; a no-op otherwise, so name threads
+// after TraceRecorder::Enable. Safe to call from any thread, any number of
+// times.
 void SetCurrentThreadName(const std::string& name);
 
 // One completed span. `name` and `category` point at string literals.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -11,25 +10,13 @@
 #include "src/schedulers/migration.h"
 
 namespace medea::runtime {
-namespace {
-
-// Names the calling thread's trace track, only while tracing: the name is a
-// lasting allocation in the thread's malloc arena, and registering one from
-// every short-lived service thread raised a bulk benchmark's peak RSS by
-// about 10 MB.
-void NameTraceTrack(const char* name) {
-  if (obs::TraceRecorder::Default().enabled()) {
-    obs::SetCurrentThreadName(name);
-  }
-}
-
-}  // namespace
 
 PlacementService::PlacementService(ServiceConfig config, ClusterState initial,
                                    ConstraintManager manager)
     : config_(std::move(config)),
       epoch_(std::move(initial)),
       plan_queue_(config_.plan_queue_capacity),
+      backlog_(config_.max_attempts),
       manager_(std::make_shared<const ConstraintManager>(std::move(manager))) {}
 
 PlacementService::~PlacementService() { Stop(); }
@@ -75,19 +62,17 @@ void PlacementService::Stop() {
 
 void PlacementService::Submit(LraRequest request) {
   sync::MutexLock lock(&mu_);
-  while (pending_.size() >= config_.admission_capacity && !stopping_) {
+  while (backlog_.size() >= config_.admission_capacity && !stopping_) {
     admission_cv_.Wait(&mu_);
   }
   if (stopping_) {
     return;
   }
-  ++metrics_.submitted;
   ++outstanding_;
-  pending_.push_back(PendingRequest{std::move(request), std::chrono::steady_clock::now(), 0,
-                                    /*is_failover=*/false});
+  backlog_.Submit(std::move(request), MsSince(start_time_));
   if (obs::MetricsEnabled()) {
     obs::Count("service.requests");
-    obs::SetGauge("service.admission_depth", static_cast<double>(pending_.size()));
+    obs::SetGauge("service.admission_depth", static_cast<double>(backlog_.size()));
   }
   work_cv_.Signal();
 }
@@ -96,17 +81,9 @@ void PlacementService::SubmitSpec(const std::function<LraSpec(TagPool&)>& build)
   LraSpec spec;
   WithManager([&](ConstraintManager& manager) {
     spec = build(manager.tags());
-    for (const std::string& text : spec.shared_constraints) {
-      const Status status = manager.AddOperatorConstraint(text);
-      if (!status.ok()) {
-        MEDEA_LOG(kWarning) << "bad shared constraint: " << status.ToString();
-      }
-    }
-    for (const std::string& text : spec.app_constraints) {
-      auto result = manager.AddFromText(text, ConstraintOrigin::kApplication, spec.request.app);
-      if (!result.ok()) {
-        MEDEA_LOG(kWarning) << "bad app constraint: " << result.status().ToString();
-      }
+    const Status status = RegisterLraConstraints(spec, manager);
+    if (!status.ok()) {
+      MEDEA_LOG(kWarning) << "bad constraint: " << status.ToString();
     }
   });
   Submit(std::move(spec.request));
@@ -122,11 +99,7 @@ void PlacementService::SubmitTaskJob(std::vector<TaskRequest> tasks) {
   task_cv_.Signal();
 }
 
-SimTimeMs PlacementService::NowMs() const {
-  return static_cast<SimTimeMs>(std::chrono::duration_cast<std::chrono::milliseconds>(
-                                    std::chrono::steady_clock::now() - start_time_)
-                                    .count());
-}
+SimTimeMs PlacementService::NowMs() const { return static_cast<SimTimeMs>(MsSince(start_time_)); }
 
 void PlacementService::WithManager(const std::function<void(ConstraintManager&)>& fn) {
   sync::MutexLock lock(&mu_);
@@ -145,33 +118,27 @@ void PlacementService::MutateManagerLocked(const std::function<void(ConstraintMa
   manager_ = std::move(next);
 }
 
-bool PlacementService::NextBatch(bool wait, std::vector<PendingRequest>* batch) {
+bool PlacementService::NextBatch(bool wait, std::vector<BacklogEntry>* batch) {
   sync::MutexLock lock(&mu_);
-  while (wait && pending_.empty() && !stopping_) {
+  while (wait && backlog_.empty() && !stopping_) {
     work_cv_.Wait(&mu_);
   }
-  if (stopping_ || pending_.empty()) {
+  if (stopping_ || backlog_.empty()) {
     return false;
   }
-  const size_t n = std::min(config_.max_batch, pending_.size());
-  batch->clear();
-  batch->reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    batch->push_back(std::move(pending_.front()));
-    pending_.pop_front();
-  }
+  *batch = backlog_.Take(config_.max_batch);
   ++metrics_.batches;
   admission_cv_.SignalAll();
-  if (!pending_.empty()) {
+  if (!backlog_.empty()) {
     work_cv_.Signal();  // more work for another planner
   }
   if (obs::MetricsEnabled()) {
-    obs::SetGauge("service.admission_depth", static_cast<double>(pending_.size()));
+    obs::SetGauge("service.admission_depth", static_cast<double>(backlog_.size()));
   }
   return true;
 }
 
-PlanEnvelope PlacementService::PlanBatch(std::vector<PendingRequest> batch,
+PlanEnvelope PlacementService::PlanBatch(std::vector<BacklogEntry> batch,
                                          LraScheduler& scheduler) {
   const obs::ScopedSpan plan_span("service.plan", "service");
   auto snapshot = epoch_.Acquire();
@@ -180,18 +147,8 @@ PlanEnvelope PlacementService::PlanBatch(std::vector<PendingRequest> batch,
   const auto manager = manager_snapshot();
 
   PlanEnvelope envelope;
-  envelope.lras.reserve(batch.size());
-  envelope.attempts.reserve(batch.size());
-  envelope.submitted.reserve(batch.size());
-  envelope.is_failover.reserve(batch.size());
-  for (PendingRequest& request : batch) {
-    envelope.lras.push_back(std::move(request.request));
-    envelope.attempts.push_back(request.attempts);
-    envelope.submitted.push_back(request.submitted);
-    envelope.is_failover.push_back(request.is_failover);
-  }
-  PlacementProblem problem;
-  problem.lras = envelope.lras;
+  envelope.taken = std::move(batch);
+  PlacementProblem problem = ProblemFor(envelope.taken);
   problem.state = &snapshot->state;
   problem.manager = manager.get();
   {
@@ -200,14 +157,14 @@ PlanEnvelope PlacementService::PlanBatch(std::vector<PendingRequest> batch,
   }
   envelope.snapshot_version = snapshot->epoch;
   if (obs::MetricsEnabled()) {
-    obs::Observe("service.batch_size", static_cast<double>(envelope.lras.size()));
+    obs::Observe("service.batch_size", static_cast<double>(envelope.taken.size()));
   }
   return envelope;
 }
 
 void PlacementService::WorkerLoop(LraScheduler* scheduler) {
-  NameTraceTrack("medea-svc-plan");
-  std::vector<PendingRequest> batch;
+  obs::SetCurrentThreadName("medea-svc-plan");
+  std::vector<BacklogEntry> batch;
   while (NextBatch(/*wait=*/true, &batch)) {
     PlanEnvelope envelope = PlanBatch(std::move(batch), *scheduler);
     batch.clear();
@@ -218,7 +175,7 @@ void PlacementService::WorkerLoop(LraScheduler* scheduler) {
 }
 
 void PlacementService::CommitterLoop() {
-  NameTraceTrack("medea-svc-commit");
+  obs::SetCurrentThreadName("medea-svc-commit");
   PlanEnvelope envelope;
   while (plan_queue_.Pop(&envelope)) {
     CommitEnvelope(std::move(envelope), nullptr);
@@ -226,7 +183,7 @@ void PlacementService::CommitterLoop() {
 }
 
 void PlacementService::HeartbeatLoop() {
-  NameTraceTrack("medea-svc-beat");
+  obs::SetCurrentThreadName("medea-svc-beat");
   long long beat = 0;
   while (AwaitHeartbeat()) {
     const BeatCounts counts = Beat(++beat, *manager_snapshot());
@@ -301,54 +258,16 @@ PlacementService::BeatCounts PlacementService::Beat(long long beat,
   return counts;
 }
 
-bool PlacementService::RevalidateLra(const ClusterState& live, const PlanEnvelope& envelope,
-                                     size_t lra_index) {
-  // Aggregate the plan's demand per node for this LRA and check it still
-  // fits the live free capacity on live (up) nodes.
-  std::unordered_map<uint32_t, Resource> per_node;
-  const LraRequest& lra = envelope.lras[lra_index];
-  for (const Assignment& a : envelope.plan.assignments) {
-    if (a.lra_index != static_cast<int>(lra_index)) {
-      continue;
-    }
-    if (!a.node.IsValid() || static_cast<size_t>(a.node.value) >= live.num_nodes() ||
-        a.container_index < 0 ||
-        static_cast<size_t>(a.container_index) >= lra.containers.size()) {
-      return false;
-    }
-    per_node[a.node.value] += lra.containers[static_cast<size_t>(a.container_index)].demand;
-  }
-  for (const auto& [node_raw, needed] : per_node) {
-    const Node& node = live.node(NodeId(node_raw));
-    if (!node.available() || !node.Free().Fits(needed)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 void PlacementService::CommitEnvelope(PlanEnvelope envelope, BatchOutcome* outcome) {
   const obs::ScopedSpan commit_span("service.commit", "service");
   const obs::ScopedLatencyTimer commit_timer("service.commit_ms");
   const bool stale = envelope.snapshot_version != epoch_.epoch();
-  PlacementPlan plan = envelope.plan;
+  PlacementProblem problem = ProblemFor(envelope.taken);
   std::vector<bool> committed;
-  int revalidation_demotions = 0;
   const uint64_t new_epoch = epoch_.Commit([&](ClusterState& live) {
-    // Always revalidate: even a fresh-looking plan can race a concurrent
-    // NodeDown between the staleness check above and this commit. The check
-    // is per-LRA fit only — trivially true when nothing moved.
-    for (size_t i = 0; i < envelope.lras.size(); ++i) {
-      const bool planned = i < plan.lra_placed.size() && plan.lra_placed[i];
-      if (planned && !RevalidateLra(live, envelope, i)) {
-        plan.lra_placed[i] = false;
-        ++revalidation_demotions;
-      }
-    }
-    PlacementProblem problem;
-    problem.lras = envelope.lras;
-    problem.state = &live;
-    CommitPlan(problem, plan, live, &committed);
+    // CommitPlan checks every planned LRA against the live state, so a
+    // plan that raced a concurrent NodeDown or heartbeat cannot land.
+    CommitPlan(problem, envelope.plan, live, &committed);
     AuditStateMutation(live, "service-commit");
   });
   if (obs::MetricsEnabled()) {
@@ -357,125 +276,90 @@ void PlacementService::CommitEnvelope(PlanEnvelope envelope, BatchOutcome* outco
     if (stale) {
       obs::Count("service.stale_plans");
     }
-    if (revalidation_demotions > 0) {
-      obs::Count("service.stale_lras_revalidated", revalidation_demotions);
+  }
+
+  // The hooks run under mu_ but touch only locals: the thread-safety
+  // analysis cannot see the lock inside a lambda.
+  const double now_ms = MsSince(start_time_);
+  size_t resolved = 0;
+  std::vector<ApplicationId> given_up;
+  {
+    sync::MutexLock lock(&mu_);
+    metrics_.stale_plans += stale ? 1 : 0;
+    backlog_.Resolve(
+        std::move(envelope.taken), envelope.plan, committed,
+        [](size_t) {
+          obs::Count("service.commit_conflicts");
+          return false;
+        },
+        [&](const BacklogEntry& entry, Verdict verdict) {
+          if (verdict == Verdict::kRequeued) {
+            // Requeues bypass the admission bound: blocking the committer on
+            // Submit's backpressure would deadlock the pipeline.
+            obs::Count("service.resubmissions");
+            return;
+          }
+          ++resolved;
+          if (verdict == Verdict::kPlaced) {
+            obs::Count("service.lras_placed");
+            // End-to-end placement latency: Submit() -> committed.
+            obs::Observe("service.place_latency_ms", now_ms - entry.submitted_ms);
+            return;
+          }
+          // A failover that gives up leaves its app degraded; it is not a
+          // rejected submission.
+          if (!entry.is_failover) {
+            obs::Count("service.lras_rejected");
+          }
+          given_up.push_back(entry.request.app);
+        });
+    MEDEA_CHECK(outstanding_ >= resolved);
+    outstanding_ -= resolved;
+    if (!given_up.empty()) {
+      MutateManagerLocked([&given_up](ConstraintManager& manager) {
+        for (const ApplicationId app : given_up) {
+          manager.RemoveApplicationConstraints(app);
+        }
+      });
+    }
+    if (!backlog_.empty()) {
+      work_cv_.Signal();
+    }
+    if (outstanding_ == 0) {
+      idle_cv_.SignalAll();
     }
   }
 
   if (outcome != nullptr) {
-    outcome->lras = envelope.lras;
-    outcome->plan = envelope.plan;
-    outcome->committed = committed;
+    outcome->lras = std::move(problem.lras);
+    outcome->plan = std::move(envelope.plan);
+    outcome->committed = std::move(committed);
     outcome->epoch = envelope.snapshot_version;
   }
-
-  sync::MutexLock lock(&mu_);
-  if (stale) {
-    ++metrics_.stale_plans;
-  }
-  for (size_t i = 0; i < envelope.lras.size(); ++i) {
-    const bool originally_planned =
-        i < envelope.plan.lra_placed.size() && envelope.plan.lra_placed[i];
-    const bool planned = i < plan.lra_placed.size() && plan.lra_placed[i];
-    const bool landed = planned && i < committed.size() && committed[i];
-    if (landed) {
-      if (envelope.is_failover[i]) {
-        ++metrics_.failover_replacements;
-      } else {
-        ++metrics_.lras_placed;
-      }
-      MEDEA_CHECK(outstanding_ > 0);
-      --outstanding_;
-      if (obs::MetricsEnabled()) {
-        obs::Count("service.lras_placed");
-        // End-to-end placement latency: Submit() -> committed on the cluster.
-        obs::Observe("service.place_latency_ms", MsSince(envelope.submitted[i]));
-      }
-      continue;
-    }
-    if (originally_planned) {
-      ++metrics_.commit_conflicts;
-      if (obs::MetricsEnabled()) {
-        obs::Count("service.commit_conflicts");
-      }
-    }
-    RequeueOrRejectLocked(PendingRequest{std::move(envelope.lras[i]), envelope.submitted[i],
-                                         envelope.attempts[i] + 1, envelope.is_failover[i]});
-  }
-  if (outstanding_ == 0) {
-    idle_cv_.SignalAll();
-  }
-}
-
-void PlacementService::RequeueOrRejectLocked(PendingRequest request) {
-  if (request.attempts >= config_.max_attempts) {
-    MEDEA_CHECK(outstanding_ > 0);
-    --outstanding_;
-    // A failover re-placement that gives up leaves its app degraded; it is
-    // not a rejected submission.
-    if (!request.is_failover) {
-      ++metrics_.lras_rejected;
-      if (obs::MetricsEnabled()) {
-        obs::Count("service.lras_rejected");
-      }
-    }
-    const ApplicationId app = request.request.app;
-    MutateManagerLocked(
-        [app](ConstraintManager& manager) { manager.RemoveApplicationConstraints(app); });
-    return;
-  }
-  ++metrics_.resubmissions;
-  if (obs::MetricsEnabled()) {
-    obs::Count("service.resubmissions");
-  }
-  // Requeues bypass the admission bound: blocking the committer on Submit's
-  // backpressure would deadlock the pipeline.
-  pending_.push_back(std::move(request));
-  work_cv_.Signal();
 }
 
 void PlacementService::NodeDown(NodeId node) {
   obs::Count("service.node_down_events");
-  const SteadyTime now = std::chrono::steady_clock::now();
-  std::unordered_map<ApplicationId, LraRequest, std::hash<ApplicationId>> lost;
-  long long containers_lost = 0;
-  long long tasks_evicted = 0;
+  NodeFailure failure;
   {
     sync::MutexLock task_lock(&task_mu_);
-    TaskTier& tier = tasks_;
+    TaskScheduler* tasks = tasks_.scheduler.has_value() ? &*tasks_.scheduler : nullptr;
     const SimTimeMs now_ms = NowMs();
     epoch_.Commit([&](ClusterState& live) {
-      // Snapshot first: releases mutate the node's container list.
-      const std::vector<ContainerId> containers(live.node(node).containers().begin(),
-                                                live.node(node).containers().end());
-      for (ContainerId c : containers) {
-        const ContainerInfo* info = live.FindContainer(c);
-        MEDEA_CHECK(info != nullptr);
-        if (info->long_running) {
-          LraRequest& request = lost[info->app];
-          request.app = info->app;
-          request.containers.push_back(ContainerRequest{info->resource, info->tags});
-          ++containers_lost;
-          MEDEA_CHECK(live.Release(c).ok());
-        } else if (tier.scheduler.has_value() && tier.scheduler->IsRunning(c)) {
-          MEDEA_CHECK(tier.scheduler->EvictTask(live, c, now_ms).ok());
-          ++tasks_evicted;
-        }
-      }
-      live.SetNodeAvailable(node, false);
+      failure = FailNode(live, node, tasks, now_ms);
       AuditStateMutation(live, "service-node-down");
     });
   }
+  const double now_ms = MsSince(start_time_);
   sync::MutexLock lock(&mu_);
-  metrics_.lra_containers_lost += containers_lost;
-  metrics_.tasks_requeued_on_failure += tasks_evicted;
-  // Failover: resubmit the lost containers through the admission queue;
-  // their constraints are still registered with the manager.
-  for (auto& [app, request] : lost) {
+  metrics_.lra_containers_lost += failure.lra_containers_lost;
+  metrics_.tasks_requeued_on_failure += failure.tasks_evicted;
+  // Failover: the lost containers' constraints are still registered.
+  for (auto& [app, request] : failure.lost) {
     ++outstanding_;
-    pending_.push_back(PendingRequest{std::move(request), now, 0, /*is_failover=*/true});
+    backlog_.Submit(std::move(request), now_ms, /*is_failover=*/true);
   }
-  if (!lost.empty()) {
+  if (!failure.lost.empty()) {
     work_cv_.Signal();
   }
 }
@@ -503,7 +387,7 @@ bool PlacementService::WaitIdle(std::chrono::milliseconds timeout) {
 std::vector<BatchOutcome> PlacementService::RunSynchronous(LraScheduler& scheduler) {
   MEDEA_CHECK(!started_);
   std::vector<BatchOutcome> outcomes;
-  std::vector<PendingRequest> batch;
+  std::vector<BacklogEntry> batch;
   while (NextBatch(/*wait=*/false, &batch)) {
     PlanEnvelope envelope = PlanBatch(std::move(batch), scheduler);
     batch.clear();
@@ -516,7 +400,15 @@ std::vector<BatchOutcome> PlacementService::RunSynchronous(LraScheduler& schedul
 
 ServiceMetrics PlacementService::metrics() const {
   sync::MutexLock lock(&mu_);
-  return metrics_;
+  ServiceMetrics metrics = metrics_;
+  const BacklogCounts& counts = backlog_.counts();
+  metrics.submitted = counts.submitted;
+  metrics.lras_placed = counts.placed;
+  metrics.lras_rejected = counts.rejected;
+  metrics.resubmissions = counts.resubmissions;
+  metrics.commit_conflicts = counts.commit_conflicts;
+  metrics.failover_replacements = counts.failover_replacements;
+  return metrics;
 }
 
 }  // namespace medea::runtime

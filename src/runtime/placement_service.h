@@ -19,9 +19,11 @@
 //
 // Snapshot isolation: planners call EpochClusterState::Acquire() — a
 // pointer copy — and plan against a frozen epoch while the committer keeps
-// committing. Plans are suggestions: at commit time the committer
-// revalidates each planned LRA against the live state and requeues (up to
-// `max_attempts`) whatever no longer fits (§5.4 placement conflicts).
+// committing. Plans are suggestions: the committer hands each one to
+// CommitPlan, which allocates only the LRAs whose plan still fits the live
+// state, and the LraBacklog (lra_backlog.h) — the same one the Simulation
+// uses — requeues (up to `max_attempts`) or rejects the rest (§5.4
+// placement conflicts).
 //
 // Task-based jobs (SubmitTaskJob) run on a heartbeat thread: every
 // kHeartbeatPeriod it completes due tasks, allocates queued ones through
@@ -56,7 +58,6 @@
 #define SRC_RUNTIME_PLACEMENT_SERVICE_H_
 
 #include <chrono>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -67,6 +68,7 @@
 #include "src/common/sync/mutex.h"
 #include "src/common/sync/thread.h"
 #include "src/core/constraint_manager.h"
+#include "src/runtime/lra_backlog.h"
 #include "src/runtime/plan_queue.h"
 #include "src/schedulers/placement.h"
 #include "src/tasksched/task_scheduler.h"
@@ -94,7 +96,7 @@ struct ServiceMetrics {
   long long submitted = 0;
   long long batches = 0;
   // Every submitted LRA resolves once as placed or rejected; failover
-  // re-placements count under failover_replacements only.
+  // re-placements count under failover_replacements only (LraBacklog).
   long long lras_placed = 0;
   long long lras_rejected = 0;
   long long resubmissions = 0;
@@ -146,9 +148,8 @@ class PlacementService {
   void Submit(LraRequest request);
 
   // Builds an LRA spec against the shared tag pool, registers its
-  // constraints — shared ones as operator constraints, deduplicated by
-  // text (ConstraintManager::AddOperatorConstraint); bad texts are logged
-  // and skipped — in one manager republish, and submits its request.
+  // constraints (RegisterLraConstraints; bad texts are logged and skipped)
+  // in one manager republish, and submits its request.
   void SubmitSpec(const std::function<LraSpec(TagPool&)>& build);
 
   // Enqueues a task-based job on the heartbeat tier's single FIFO queue
@@ -160,10 +161,10 @@ class PlacementService {
   void WithManager(const std::function<void(ConstraintManager&)>& fn);
   std::shared_ptr<const ConstraintManager> manager_snapshot() const;
 
-  // Failover path (§2.3): marks the node down, evicts its running tasks
-  // back to the head of their queues, releases its LRA containers and
-  // resubmits them through the admission queue (is_failover), advancing the
-  // epoch. NodeUp re-enables the node (another epoch).
+  // Failover path (§2.3): FailNode in one epoch commit — marks the node
+  // down, evicts its running tasks back to the head of their queues and
+  // releases its LRA containers — then resubmits the lost containers to the
+  // backlog as failovers. NodeUp re-enables the node (another epoch).
   void NodeDown(NodeId node);
   void NodeUp(NodeId node);
 
@@ -189,12 +190,6 @@ class PlacementService {
   ServiceMetrics metrics() const;
 
  private:
-  struct PendingRequest {
-    LraRequest request;
-    SteadyTime submitted;
-    int attempts = 0;
-    bool is_failover = false;
-  };
   struct Completion {
     SimTimeMs end_ms = 0;
     ContainerId container;
@@ -217,22 +212,20 @@ class PlacementService {
   void CommitterLoop();
   void HeartbeatLoop();
 
-  // Pops up to max_batch pending requests into `batch`. With `wait` it
-  // blocks until a request is pending; returns false when stopping, or when
-  // nothing is pending.
-  bool NextBatch(bool wait, std::vector<PendingRequest>* batch) MEDEA_EXCLUDES(mu_);
+  // Takes up to max_batch requests from the backlog into `batch`. With
+  // `wait` it blocks until a request is pending; returns false when
+  // stopping, or when nothing is pending.
+  bool NextBatch(bool wait, std::vector<BacklogEntry>* batch) MEDEA_EXCLUDES(mu_);
 
   // Plans `batch` against the current epoch snapshot with `scheduler` and
   // wraps the result in an envelope (snapshot_version = epoch).
-  PlanEnvelope PlanBatch(std::vector<PendingRequest> batch, LraScheduler& scheduler);
+  PlanEnvelope PlanBatch(std::vector<BacklogEntry> batch, LraScheduler& scheduler);
 
-  // Revalidates + commits an envelope against the live state (one epoch),
-  // then resolves every LRA: placed, requeued or rejected. If `outcome` is
-  // non-null the batch result is recorded there (synchronous mode).
+  // Commits an envelope's plan against the live state (CommitPlan, one
+  // epoch), then resolves its batch through the backlog: placed, requeued
+  // or rejected. If `outcome` is non-null the batch result is recorded
+  // there (synchronous mode).
   void CommitEnvelope(PlanEnvelope envelope, BatchOutcome* outcome) MEDEA_EXCLUDES(mu_);
-
-  static bool RevalidateLra(const ClusterState& live, const PlanEnvelope& envelope,
-                            size_t lra_index);
 
   // Waits out one heartbeat period; while the tier has no work, waits for
   // some first. Returns false once the heartbeat is stopping.
@@ -244,7 +237,6 @@ class PlacementService {
   BeatCounts Beat(long long beat, const ConstraintManager& manager) MEDEA_EXCLUDES(task_mu_);
   // Milliseconds of service clock since construction.
   SimTimeMs NowMs() const;
-  void RequeueOrRejectLocked(PendingRequest request) MEDEA_REQUIRES(mu_);
   void MutateManagerLocked(const std::function<void(ConstraintManager&)>& fn)
       MEDEA_REQUIRES(mu_);
 
@@ -254,10 +246,10 @@ class PlacementService {
   PlanQueue plan_queue_;
 
   mutable sync::Mutex mu_;
-  sync::CondVar work_cv_;       // pending_ became non-empty (or stopping)
-  sync::CondVar admission_cv_;  // pending_ dropped below capacity
+  sync::CondVar work_cv_;       // backlog_ became non-empty (or stopping)
+  sync::CondVar admission_cv_;  // backlog_ dropped below capacity
   sync::CondVar idle_cv_;       // outstanding_ hit zero
-  std::deque<PendingRequest> pending_ MEDEA_GUARDED_BY(mu_);
+  LraBacklog backlog_ MEDEA_GUARDED_BY(mu_);
   std::shared_ptr<const ConstraintManager> manager_ MEDEA_GUARDED_BY(mu_);
   size_t outstanding_ MEDEA_GUARDED_BY(mu_) = 0;
   bool stopping_ MEDEA_GUARDED_BY(mu_) = false;

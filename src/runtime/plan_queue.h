@@ -22,6 +22,7 @@
 #include "src/common/sync/mutex.h"
 #include "src/common/types.h"
 #include "src/obs/metrics.h"
+#include "src/runtime/lra_backlog.h"
 #include "src/schedulers/placement.h"
 
 namespace medea::runtime {
@@ -37,15 +38,11 @@ inline double MsSince(SteadyTime start) {
 
 // One scheduling cycle's output, in flight from a planner to the committer.
 struct PlanEnvelope {
-  // The batch the plan was computed for. Copied (not referenced): the state
-  // snapshot the scheduler saw is gone by commit time and the live cluster
-  // has moved on — the plan is a *suggestion* (§3.2).
-  std::vector<LraRequest> lras;
-  // Per-LRA resubmission attempt counts and submission timestamps, carried
-  // through for metrics and retry caps.
-  std::vector<int> attempts;
-  std::vector<SteadyTime> submitted;
-  std::vector<bool> is_failover;
+  // The batch the plan was computed for, taken from the LRA backlog with
+  // its retry state. The state snapshot the scheduler saw is gone by commit
+  // time and the live cluster has moved on — the plan is a *suggestion*
+  // (§3.2).
+  std::vector<BacklogEntry> taken;
   PlacementPlan plan;
   // The epoch of the snapshot the plan was computed against; a mismatch at
   // commit time counts the envelope as a stale plan.

@@ -5,8 +5,7 @@
 // requests and constraints of the newly submitted LRAs, the constraints of
 // already-deployed LRAs and of the cluster operator (via the
 // ConstraintManager), and the current cluster state. The scheduler returns a
-// placement *plan*; the task-based scheduler performs the actual allocation
-// (two-scheduler design, §3).
+// placement *plan*; CommitPlan performs the actual allocation (§3.2).
 
 #ifndef SRC_SCHEDULERS_PLACEMENT_H_
 #define SRC_SCHEDULERS_PLACEMENT_H_
@@ -80,11 +79,37 @@ class LraScheduler {
   virtual std::string name() const = 0;
 };
 
-// Applies a plan to `state` by allocating the planned containers (tagging
-// each with its request tags plus the automatic appID tag). Used by the
-// task-based scheduler's commit path and by tests. Returns false and rolls
-// back the partially applied LRA if an allocation fails (placement
-// conflict, §5.4).
+// A plan's assignments grouped by LRA (indexed like the problem's `lras`),
+// in one pass; an assignment whose lra_index is out of range is dropped.
+using LraAssignments = std::vector<const Assignment*>;
+std::vector<LraAssignments> AssignmentsByLra(const PlacementPlan& plan, size_t num_lras);
+
+// The demand one LRA's plan puts on one node.
+struct NodeDemand {
+  NodeId node;
+  Resource demand;
+};
+
+// Sums `assignments` (one LRA's, from AssignmentsByLra) per node into
+// `per_node`, in ascending node order. Returns false when the plan is
+// malformed for this LRA: an assignment names a container or node out of
+// range, or the assignments do not cover each container exactly once.
+bool PlannedNodeDemand(const LraRequest& lra, const LraAssignments& assignments,
+                       const ClusterState& state, std::vector<NodeDemand>* per_node);
+
+// Commits one LRA's planned containers (tagging each with its request tags
+// plus the automatic appID tag) if its plan is well formed and its summed
+// demand fits the free capacity of every planned node, all of them up.
+// Otherwise allocates nothing (a placement conflict, §5.4). An Allocate
+// error still rolls the LRA back. Returns true iff the LRA landed.
+bool CommitLra(const LraRequest& lra, const LraAssignments& assignments, ClusterState& state);
+
+// The one commit path for LRA plans (§3.2: plans are suggestions; this
+// performs the allocations). CommitLra's check and allocation for every LRA
+// the plan placed, in problem order, each against the state as the batch
+// commits. Returns false if any planned LRA did not land or an assignment
+// named no LRA of the problem; `committed_lras` (if given) gets one verdict
+// per LRA.
 bool CommitPlan(const PlacementProblem& problem, const PlacementPlan& plan, ClusterState& state,
                 std::vector<bool>* committed_lras = nullptr);
 

@@ -20,7 +20,8 @@ Simulation::Simulation(SimConfig config, std::unique_ptr<LraScheduler> lra_sched
                  .NodeCapacity(config.node_capacity)
                  .Build()),
       manager_(state_.groups_ptr()),
-      lra_scheduler_(std::move(lra_scheduler)) {
+      lra_scheduler_(std::move(lra_scheduler)),
+      backlog_(config_.max_lra_attempts) {
   MEDEA_CHECK(lra_scheduler_ != nullptr);
   if (config_.metrics_sample_interval_ms > 0) {
     Push(config_.metrics_sample_interval_ms, EventType::kMetricsSample);
@@ -82,38 +83,21 @@ void Simulation::NodeUpAt(SimTimeMs t, NodeId node) {
 }
 
 void Simulation::HandleNodeDown(NodeId node) {
-  // Snapshot first: releases mutate the container list.
-  const std::vector<ContainerId> containers(state_.node(node).containers().begin(),
-                                            state_.node(node).containers().end());
-  // Lost LRA containers per application.
-  std::unordered_map<ApplicationId, LraRequest, std::hash<ApplicationId>> lost;
-  for (ContainerId c : containers) {
-    const ContainerInfo* info = state_.FindContainer(c);
-    MEDEA_CHECK(info != nullptr);
-    if (info->long_running) {
-      LraRequest& request = lost[info->app];
-      request.app = info->app;
-      request.containers.push_back(ContainerRequest{info->resource, info->tags});
-      ++metrics_.lra_containers_lost;
-      MEDEA_CHECK(state_.Release(c).ok());
-    } else if (task_scheduler_.IsRunning(c)) {
-      MEDEA_CHECK(task_scheduler_.EvictTask(state_, c, now_).ok());
-      ++metrics_.tasks_requeued_on_failure;
-    }
-  }
-  state_.SetNodeAvailable(node, false);
+  runtime::NodeFailure failure = runtime::FailNode(state_, node, &task_scheduler_, now_);
+  metrics_.lra_containers_lost += failure.lra_containers_lost;
+  metrics_.tasks_requeued_on_failure += failure.tasks_evicted;
   AuditStateMutation(state_, "node-down");
   // Resubmit the lost LRA containers through the LRA scheduler; their
   // constraints are still registered with the manager.
-  for (auto& [app, request] : lost) {
-    lra_queue_.push_back(PendingLra{std::move(request), now_, 0, /*is_failover=*/true});
+  for (auto& [app, request] : failure.lost) {
+    backlog_.Submit(std::move(request), static_cast<double>(now_), /*is_failover=*/true);
   }
   EnsureLraCycleScheduled();
   EnsureTaskTickScheduled();
 }
 
 void Simulation::EnsureLraCycleScheduled() {
-  if (lra_cycle_scheduled_ || lra_queue_.empty()) {
+  if (lra_cycle_scheduled_ || backlog_.empty()) {
     return;
   }
   // Next multiple of the scheduling interval strictly after now.
@@ -135,25 +119,16 @@ void Simulation::EnsureTaskTickScheduled() {
 
 void Simulation::RunLraCycle() {
   lra_cycle_scheduled_ = false;
-  if (lra_queue_.empty()) {
+  if (backlog_.empty()) {
     return;
   }
   ++metrics_.cycles;
 
-  // Batch for this cycle.
-  size_t batch = lra_queue_.size();
-  if (config_.max_lras_per_cycle > 0) {
-    batch = std::min(batch, static_cast<size_t>(config_.max_lras_per_cycle));
-  }
-  PlacementProblem problem;
+  std::vector<runtime::BacklogEntry> batch =
+      backlog_.Take(static_cast<size_t>(std::max(config_.max_lras_per_cycle, 0)));
+  PlacementProblem problem = runtime::ProblemFor(batch);
   problem.state = &state_;
   problem.manager = &manager_;
-  std::vector<PendingLra> cycle_lras;
-  for (size_t i = 0; i < batch; ++i) {
-    cycle_lras.push_back(std::move(lra_queue_.front()));
-    lra_queue_.pop_front();
-    problem.lras.push_back(cycle_lras.back().request);
-  }
 
   const PlacementPlan plan = lra_scheduler_->Place(problem);
   metrics_.lra_cycle_latency_ms.Add(plan.latency_ms);
@@ -162,75 +137,65 @@ void Simulation::RunLraCycle() {
   CommitPlan(problem, plan, state_, &committed);
   AuditStateMutation(state_, "lra-commit");
 
-  for (size_t i = 0; i < cycle_lras.size(); ++i) {
-    PendingLra& lra = cycle_lras[i];
-    const bool planned = i < plan.lra_placed.size() && plan.lra_placed[i];
-    bool landed = planned && committed[i];
-    if (planned && !committed[i]) {
-      ++metrics_.commit_conflicts;
-      switch (config_.conflict_policy) {
-        case ConflictPolicy::kResubmit:
-          break;
-        case ConflictPolicy::kKillTasks:
-          landed = TryCommitWithEviction(lra.request, plan, static_cast<int>(i));
-          break;
-        case ConflictPolicy::kReserve: {
-          // Hold the planned capacity so freed task resources accumulate
-          // for the resubmitted LRA.
-          std::vector<std::pair<NodeId, Resource>> holds;
-          for (const Assignment& a : plan.assignments) {
-            if (a.lra_index == static_cast<int>(i)) {
-              holds.emplace_back(
-                  a.node,
-                  lra.request.containers[static_cast<size_t>(a.container_index)].demand);
-            }
-          }
-          task_scheduler_.AddReservation(lra.request.app, holds);
-          ++metrics_.reservations_made;
-          break;
+  std::vector<LraAssignments> by_lra;  // grouped on the first conflict
+  backlog_.Resolve(
+      std::move(batch), plan, committed,
+      [&](size_t i) {
+        if (by_lra.empty()) {
+          by_lra = AssignmentsByLra(plan, problem.lras.size());
         }
-      }
-    }
-    if (landed) {
-      if (lra.is_failover) {
-        ++metrics_.failover_replacements;
-      } else {
-        ++metrics_.lras_placed;
-        metrics_.lra_placement_latency_ms.Add(static_cast<double>(now_ - lra.submit_time));
-      }
-      task_scheduler_.ReleaseReservation(lra.request.app);
-      continue;
-    }
-    ++lra.attempts;
-    if (lra.attempts >= config_.max_lra_attempts) {
-      ++metrics_.lras_rejected;
-      manager_.RemoveApplicationConstraints(lra.request.app);
-      task_scheduler_.ReleaseReservation(lra.request.app);
-    } else {
-      ++metrics_.lra_resubmissions;
-      lra_queue_.push_back(std::move(lra));
-    }
-  }
+        return HandleConflict(problem.lras[i], by_lra[i]);
+      },
+      [&](const runtime::BacklogEntry& entry, runtime::Verdict verdict) {
+        if (verdict == runtime::Verdict::kRequeued) {
+          return;
+        }
+        if (verdict == runtime::Verdict::kRejected) {
+          manager_.RemoveApplicationConstraints(entry.request.app);
+        } else if (!entry.is_failover) {
+          metrics_.lra_placement_latency_ms.Add(static_cast<double>(now_) - entry.submitted_ms);
+        }
+        task_scheduler_.ReleaseReservation(entry.request.app);
+      });
+  const runtime::BacklogCounts& counts = backlog_.counts();
+  metrics_.lras_placed = static_cast<int>(counts.placed);
+  metrics_.lras_rejected = static_cast<int>(counts.rejected);
+  metrics_.lra_resubmissions = static_cast<int>(counts.resubmissions);
+  metrics_.commit_conflicts = static_cast<int>(counts.commit_conflicts);
+  metrics_.failover_replacements = static_cast<int>(counts.failover_replacements);
   EnsureLraCycleScheduled();
 }
 
-bool Simulation::TryCommitWithEviction(const LraRequest& lra, const PlacementPlan& plan,
-                                       int lra_index) {
-  // Aggregate the plan's demand per node for this LRA.
-  std::unordered_map<uint32_t, Resource> per_node;
-  for (const Assignment& a : plan.assignments) {
-    if (a.lra_index == lra_index) {
-      per_node[a.node.value] +=
-          lra.containers[static_cast<size_t>(a.container_index)].demand;
+bool Simulation::HandleConflict(const LraRequest& lra, const LraAssignments& assignments) {
+  switch (config_.conflict_policy) {
+    case ConflictPolicy::kResubmit:
+      return false;
+    case ConflictPolicy::kKillTasks:
+      return TryCommitWithEviction(lra, assignments);
+    case ConflictPolicy::kReserve: {
+      // Hold the planned capacity so freed task resources accumulate for
+      // the resubmitted LRA.
+      std::vector<NodeDemand> holds;
+      PlannedNodeDemand(lra, assignments, state_, &holds);
+      task_scheduler_.AddReservation(lra.app, holds);
+      ++metrics_.reservations_made;
+      return false;
     }
   }
+  return false;
+}
+
+bool Simulation::TryCommitWithEviction(const LraRequest& lra, const LraAssignments& assignments) {
+  std::vector<NodeDemand> per_node;
+  if (!PlannedNodeDemand(lra, assignments, state_, &per_node)) {
+    return false;
+  }
   int killed = 0;
-  for (const auto& [node_raw, needed] : per_node) {
-    const NodeId node(node_raw);
-    while (!state_.node(node).Free().Fits(needed)) {
+  for (const NodeDemand& need : per_node) {
+    while (!state_.node(need.node).Free().Fits(need.demand)) {
       // Find a short-running container on this node to evict.
       ContainerId victim = ContainerId::Invalid();
-      for (ContainerId c : state_.node(node).containers()) {
+      for (ContainerId c : state_.node(need.node).containers()) {
         const ContainerInfo* info = state_.FindContainer(c);
         if (!info->long_running && task_scheduler_.IsRunning(c)) {
           victim = c;
@@ -244,26 +209,12 @@ bool Simulation::TryCommitWithEviction(const LraRequest& lra, const PlacementPla
       ++killed;
     }
   }
-  // Re-commit just this LRA.
-  PlacementProblem sub;
-  sub.lras = {lra};
-  sub.state = &state_;
-  sub.manager = &manager_;
-  PlacementPlan sub_plan;
-  sub_plan.lra_placed = {true};
-  for (const Assignment& a : plan.assignments) {
-    if (a.lra_index == lra_index) {
-      sub_plan.assignments.push_back(Assignment{0, a.container_index, a.node});
-    }
+  if (!CommitLra(lra, assignments, state_)) {
+    return false;
   }
-  std::vector<bool> committed;
-  CommitPlan(sub, sub_plan, state_, &committed);
-  if (!committed.empty() && committed[0]) {
-    metrics_.tasks_killed += killed;
-    EnsureTaskTickScheduled();  // requeued victims need a heartbeat
-    return true;
-  }
-  return false;
+  metrics_.tasks_killed += killed;
+  EnsureTaskTickScheduled();  // requeued victims need a heartbeat
+  return true;
 }
 
 void Simulation::EnsureMigrationScheduled() {
@@ -339,7 +290,7 @@ void Simulation::RunUntil(SimTimeMs t) {
             MEDEA_LOG(kWarning) << "bad app constraint: " << result.status().ToString();
           }
         }
-        lra_queue_.push_back(PendingLra{std::move(spec.request), now_, 0});
+        backlog_.Submit(std::move(spec.request), static_cast<double>(now_));
         EnsureLraCycleScheduled();
         break;
       }
@@ -406,7 +357,7 @@ void Simulation::TakeMetricsSample() {
   samples_.push_back(sample);
   // Keep sampling only while other work is pending or scheduled — a
   // self-rescheduling sampler would make RunUntilQuiescent spin forever.
-  if (!events_.empty() || !lra_queue_.empty() || task_scheduler_.pending_tasks() > 0) {
+  if (!events_.empty() || !backlog_.empty() || task_scheduler_.pending_tasks() > 0) {
     Push(now_ + config_.metrics_sample_interval_ms, EventType::kMetricsSample);
   }
 }

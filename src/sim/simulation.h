@@ -6,21 +6,24 @@
 // This mirrors the paper's own methodology: "we use a simulator that
 // executes Medea with simulated machines, merely ignoring RPCs and task
 // execution" (§7.1). LRAs submitted during a scheduling interval are
-// batched and handed to the LRA scheduler at the next cycle; the resulting
-// plan is committed by the task scheduler; commit conflicts resubmit the
-// LRA (§5.4). Task-based jobs flow through the task scheduler at heartbeat
-// granularity and complete after their duration.
+// batched and handed to the LRA scheduler at the next cycle; CommitPlan
+// commits the resulting plan, and the LraBacklog shared with the
+// PlacementService (src/runtime/lra_backlog.h) resubmits or rejects the LRAs
+// that did not land (§5.4), after this simulator's conflict policy had its
+// turn. Node failures go through the same FailNode routine as the service.
+// Task-based jobs flow through the task scheduler at heartbeat granularity
+// and complete after their duration.
 
 #ifndef SRC_SIM_SIMULATION_H_
 #define SRC_SIM_SIMULATION_H_
 
-#include <deque>
 #include <memory>
 #include <queue>
 #include <string>
 #include <vector>
 
 #include "src/core/violation.h"
+#include "src/runtime/lra_backlog.h"
 #include "src/schedulers/placement.h"
 #include "src/tasksched/task_scheduler.h"
 #include "src/schedulers/migration.h"
@@ -170,14 +173,6 @@ class Simulation {
     }
   };
 
-  struct PendingLra {
-    LraRequest request;
-    SimTimeMs submit_time = 0;
-    int attempts = 0;
-    // True for failover re-placements of lost containers (accounted under
-    // failover_replacements instead of lras_placed).
-    bool is_failover = false;
-  };
   struct PendingTaskJob {
     std::vector<TaskRequest> tasks;
     std::string queue;
@@ -194,9 +189,12 @@ class Simulation {
   void EnsureMigrationScheduled();
   void TakeMetricsSample();
   void HandleNodeDown(NodeId node);
+  // Runs the conflict policy for an LRA whose plan CommitPlan refused;
+  // returns true if the policy landed it (kKillTasks).
+  bool HandleConflict(const LraRequest& lra, const LraAssignments& assignments);
   // kKillTasks: evicts short tasks from the LRA's planned nodes and retries
   // the commit for that one LRA. Returns true when the LRA landed.
-  bool TryCommitWithEviction(const LraRequest& lra, const PlacementPlan& plan, int lra_index);
+  bool TryCommitWithEviction(const LraRequest& lra, const LraAssignments& assignments);
 
   SimConfig config_;
   ClusterState state_;
@@ -213,7 +211,7 @@ class Simulation {
 
   std::vector<LraSpec> lra_payloads_;
   std::vector<PendingTaskJob> task_payloads_;
-  std::deque<PendingLra> lra_queue_;
+  runtime::LraBacklog backlog_;
   ApplicationId next_task_app_{1u << 20};  // task jobs get synthetic app ids
   std::vector<MetricsSample> samples_;
   SimMetrics metrics_;

@@ -204,8 +204,7 @@ Status TaskScheduler::EvictTask(ClusterState& state, ContainerId container, SimT
   return Status::Ok();
 }
 
-void TaskScheduler::AddReservation(ApplicationId app,
-                                   const std::vector<std::pair<NodeId, Resource>>& holds) {
+void TaskScheduler::AddReservation(ApplicationId app, const std::vector<NodeDemand>& holds) {
   auto& list = reservations_[app];
   list.insert(list.end(), holds.begin(), holds.end());
 }

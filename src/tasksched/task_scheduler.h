@@ -21,6 +21,7 @@
 #include "src/cluster/cluster_state.h"
 #include "src/common/stats.h"
 #include "src/core/constraint_manager.h"
+#include "src/schedulers/placement.h"
 
 namespace medea {
 
@@ -97,7 +98,8 @@ class TaskScheduler {
   // allocations so that freed resources accumulate for a pending LRA. The
   // cluster state is untouched; only PickNode honours reservations.
 
-  void AddReservation(ApplicationId app, const std::vector<std::pair<NodeId, Resource>>& holds);
+  // `holds` is an LRA plan's per-node demand (PlannedNodeDemand).
+  void AddReservation(ApplicationId app, const std::vector<NodeDemand>& holds);
   void ReleaseReservation(ApplicationId app);
   // Total reserved on a node across applications.
   Resource ReservedOn(NodeId node) const;
@@ -142,8 +144,7 @@ class TaskScheduler {
     SimTimeMs duration_ms = 0;  // re-run in full when evicted
   };
   std::unordered_map<ContainerId, RunningTask, std::hash<ContainerId>> running_;
-  std::unordered_map<ApplicationId, std::vector<std::pair<NodeId, Resource>>,
-                     std::hash<ApplicationId>>
+  std::unordered_map<ApplicationId, std::vector<NodeDemand>, std::hash<ApplicationId>>
       reservations_;
   Distribution allocation_latency_ms_;
 };

@@ -60,15 +60,6 @@ LraSpec MakeRandomSpec(Rng& rng, ApplicationId app, TagPool& tags) {
   }
 }
 
-void RegisterSpecConstraints(const LraSpec& spec, ApplicationId app, ConstraintManager& manager) {
-  for (const std::string& text : spec.shared_constraints) {
-    MEDEA_CHECK(manager.AddOperatorConstraint(text).ok());
-  }
-  for (const std::string& text : spec.app_constraints) {
-    MEDEA_CHECK(manager.AddFromText(text, ConstraintOrigin::kApplication, app).ok());
-  }
-}
-
 Scenario GenerateScenario(Rng& rng, const SchedulerConfig& config) {
   Scenario scenario(ClusterBuilder()
                         .NumNodes(static_cast<size_t>(rng.NextInt(6, 20)))
@@ -94,7 +85,7 @@ Scenario GenerateScenario(Rng& rng, const SchedulerConfig& config) {
   for (int i = 0; i < num_existing; ++i) {
     const ApplicationId app(next_app++);
     LraSpec spec = MakeRandomSpec(rng, app, scenario.manager.tags());
-    RegisterSpecConstraints(spec, app, scenario.manager);
+    MEDEA_CHECK(RegisterLraConstraints(spec, scenario.manager).ok());
     PlacementProblem problem;
     problem.lras = {spec.request};
     problem.state = &scenario.state;
@@ -109,7 +100,7 @@ Scenario GenerateScenario(Rng& rng, const SchedulerConfig& config) {
   for (int i = 0; i < num_new; ++i) {
     const ApplicationId app(next_app++);
     LraSpec spec = MakeRandomSpec(rng, app, scenario.manager.tags());
-    RegisterSpecConstraints(spec, app, scenario.manager);
+    MEDEA_CHECK(RegisterLraConstraints(spec, scenario.manager).ok());
     scenario.lras.push_back(std::move(spec.request));
   }
   return scenario;
@@ -935,6 +926,15 @@ class FuzzRun {
         InvariantChecker::CheckState(sim.state(), &sim.manager());
     if (!final_report.ok()) {
       Fail(seed, scheduler_name, "simulation-final-state", final_report.ToString());
+    }
+    // Each submission resolves at most once (the horizon may cut the last
+    // retries short); failover give-ups are not rejected submissions.
+    const SimMetrics& metrics = sim.metrics();
+    if (metrics.lras_placed + metrics.lras_rejected > num_lras) {
+      Fail(seed, scheduler_name, "simulation-accounting",
+           "placed " + std::to_string(metrics.lras_placed) + " + rejected " +
+               std::to_string(metrics.lras_rejected) + " exceeds " + std::to_string(num_lras) +
+               " submitted");
     }
   }
 

@@ -16,6 +16,23 @@ std::string AppTag(ApplicationId app) { return StrFormat("appID:%u", app.value);
 
 }  // namespace
 
+Status RegisterLraConstraints(const LraSpec& spec, ConstraintManager& manager) {
+  std::string bad;
+  const auto note = [&bad](const std::string& text, const Status& status) {
+    if (!status.ok()) {
+      bad += (bad.empty() ? "" : "; ") + ("'" + text + "': " + status.message());
+    }
+  };
+  for (const std::string& text : spec.shared_constraints) {
+    note(text, manager.AddOperatorConstraint(text));
+  }
+  for (const std::string& text : spec.app_constraints) {
+    note(text,
+         manager.AddFromText(text, ConstraintOrigin::kApplication, spec.request.app).status());
+  }
+  return bad.empty() ? Status::Ok() : Status::InvalidArgument(bad);
+}
+
 LraSpec MakeHBaseInstance(ApplicationId app, TagPool& tags, int num_workers,
                           bool with_constraints, int max_workers_per_node) {
   LraSpec spec;

@@ -25,6 +25,13 @@ struct LraSpec {
   std::vector<std::string> shared_constraints;
 };
 
+// Registers `spec`'s constraints with `manager`: the shared texts as
+// operator constraints, deduplicated by text
+// (ConstraintManager::AddOperatorConstraint), then the application texts
+// under the spec's app, each in order. A bad text is skipped and named in
+// the returned status; the good ones are still registered.
+Status RegisterLraConstraints(const LraSpec& spec, ConstraintManager& manager);
+
 // Container shapes from §7.1: <2 GB, 1 CPU> workers, <4 GB, 1 CPU> chief,
 // <1 GB, 1 CPU> for the rest.
 inline constexpr Resource kWorkerDemand = Resource(2048, 1);

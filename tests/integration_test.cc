@@ -37,20 +37,10 @@ double DeployAndMeasure(LraScheduler& scheduler, int instances, uint64_t seed) {
                            .Build();
   ConstraintManager manager(state.groups_ptr());
   Rng rng(seed);
-  std::vector<std::string> shared_seen;
   for (int i = 0; i < instances; ++i) {
     LraSpec spec =
         MakeHBaseInstance(ApplicationId(static_cast<uint32_t>(i + 1)), manager.tags(), 6);
-    for (const auto& text : spec.shared_constraints) {
-      if (std::find(shared_seen.begin(), shared_seen.end(), text) == shared_seen.end()) {
-        shared_seen.push_back(text);
-        EXPECT_TRUE(manager.AddFromText(text, ConstraintOrigin::kOperator).ok());
-      }
-    }
-    for (const auto& text : spec.app_constraints) {
-      EXPECT_TRUE(
-          manager.AddFromText(text, ConstraintOrigin::kApplication, spec.request.app).ok());
-    }
+    EXPECT_TRUE(RegisterLraConstraints(spec, manager).ok());
     PlacementProblem problem;
     problem.lras = {spec.request};
     problem.state = &state;

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Fixture tests for medea-lint (tools/medea_lint).
 
-Each fixture under tests/lint/fixtures/ is linted on its own and the outcome
-is compared against the expectation table below: which checks must fire (with
-minimum counts), which must stay silent, the exit code, and — for the
-suppression fixtures — the suppressed count. Every check has a violating
+Each fixture under tests/lint/fixtures/ — a .cc file, or a directory linted
+as one unit (a header plus the .cc that uses it) — is linted on its own and
+the outcome is compared against the expectation table below: which checks
+must fire (with minimum counts), which must stay silent, the exit code, and
+— for the suppression fixtures — the suppressed count. Every check has a violating
 fixture and a clean sibling, so a check that stops firing (or starts
 over-firing) fails this suite, not just CI's full-tree run.
 
@@ -34,6 +35,8 @@ EXPECT = {
     "snapshot_mutation_good.cc": (0, {}, 0),
     "lock_order_bad.cc": (1, {"lock-order": 3}, 0),
     "lock_order_good.cc": (0, {}, 0),
+    "lock_order_header_bad": (1, {"lock-order": 1}, 0),
+    "lock_order_header_good": (0, {}, 0),
     "discarded_result_bad.cc": (1, {"discarded-result": 2}, 0),
     "discarded_result_good.cc": (0, {}, 0),
     "metric_name_bad.cc": (1, {"metric-name": 4}, 0),
@@ -60,7 +63,9 @@ def run_lint(fixture: str) -> tuple[int, dict]:
 
 
 def main() -> int:
-    present = sorted(f for f in os.listdir(FIXTURES) if f.endswith(".cc"))
+    present = sorted(f for f in os.listdir(FIXTURES)
+                     if f.endswith(".cc")
+                     or os.path.isdir(os.path.join(FIXTURES, f)))
     failures: list[str] = []
     if set(present) != set(EXPECT):
         failures.append(

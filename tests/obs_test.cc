@@ -233,16 +233,17 @@ TEST_F(ObsTest, ScopedSpanIsNoOpWhenDisabled) {
   EXPECT_GE(spans[0].duration_us, 0);
 }
 
-TEST_F(ObsTest, ChromeTraceExportIsWellFormed) {
-  auto& recorder = TraceRecorder::Default();
-  recorder.Enable(16);
-  SetCurrentThreadName("obs-test-main");
-  { ScopedSpan span("obs_test.export_span", "test"); }
-  const std::string path = ::testing::TempDir() + "/obs_test_trace.json";
-  ASSERT_TRUE(recorder.WriteChromeTrace(path).ok());
-
+// Writes the recorder's Chrome trace to a temporary file and returns its
+// text ("" if it could not be written or read).
+std::string ExportChromeTrace(const TraceRecorder& recorder, const std::string& name) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  if (!recorder.WriteChromeTrace(path).ok()) {
+    return "";
+  }
   std::FILE* file = std::fopen(path.c_str(), "r");
-  ASSERT_NE(file, nullptr);
+  if (file == nullptr) {
+    return "";
+  }
   std::string body;
   char buffer[4096];
   size_t n = 0;
@@ -251,6 +252,16 @@ TEST_F(ObsTest, ChromeTraceExportIsWellFormed) {
   }
   std::fclose(file);
   std::remove(path.c_str());
+  return body;
+}
+
+TEST_F(ObsTest, ChromeTraceExportIsWellFormed) {
+  auto& recorder = TraceRecorder::Default();
+  recorder.Enable(16);
+  SetCurrentThreadName("obs-test-main");
+  { ScopedSpan span("obs_test.export_span", "test"); }
+  const std::string body = ExportChromeTrace(recorder, "obs_test_trace.json");
+  ASSERT_FALSE(body.empty());
 
   EXPECT_EQ(body.front(), '{');
   EXPECT_EQ(body.find_last_not_of(" \n"), body.rfind('}'));
@@ -260,6 +271,17 @@ TEST_F(ObsTest, ChromeTraceExportIsWellFormed) {
   EXPECT_NE(body.find("obs-test-main"), std::string::npos);         // registered name
   EXPECT_NE(body.find("obs_test.export_span"), std::string::npos);  // the span itself
   EXPECT_NE(body.find("\"dropped_spans\":0"), std::string::npos);
+}
+
+TEST_F(ObsTest, ThreadNameSetWhileDisabledIsNotExported) {
+  auto& recorder = TraceRecorder::Default();
+  recorder.Disable();
+  SetCurrentThreadName("obs-test-untraced");
+  recorder.Enable(16);
+  { ScopedSpan span("obs_test.untraced_name_span", "test"); }
+  const std::string body = ExportChromeTrace(recorder, "obs_test_untraced.json");
+  EXPECT_NE(body.find("obs_test.untraced_name_span"), std::string::npos);
+  EXPECT_EQ(body.find("obs-test-untraced"), std::string::npos);
 }
 
 TEST_F(ObsTest, ThreadIdsAreSmallAndStable) {

@@ -473,6 +473,45 @@ TEST_F(SchedulerTest, CommitPlanRollsBackOnConflict) {
   EXPECT_EQ(state_.num_containers(), 0u);
 }
 
+TEST_F(SchedulerTest, CommitPlanRefusesDuplicateContainerAssignment) {
+  auto problem = Problem({MakeLra(ApplicationId(1), 2, {"w"})});
+  PlacementPlan plan;
+  plan.lra_placed = {true};
+  // Two assignments, but both for container 0: container 1 is never placed.
+  plan.assignments = {{0, 0, NodeId(0)}, {0, 0, NodeId(1)}};
+  std::vector<bool> committed;
+  EXPECT_FALSE(CommitPlan(problem, plan, state_, &committed));
+  EXPECT_FALSE(committed[0]);
+  EXPECT_EQ(state_.num_containers(), 0u);
+}
+
+TEST_F(SchedulerTest, CommitPlanRefusesOutOfRangeIndices) {
+  auto problem = Problem({MakeLra(ApplicationId(1), 2, {"w"})});
+  const std::vector<std::vector<Assignment>> bad_plans = {
+      {{0, 0, NodeId(0)}, {0, 2, NodeId(1)}},   // container index past the LRA
+      {{0, 0, NodeId(0)}, {0, -1, NodeId(1)}},  // negative container index
+      {{0, 0, NodeId(0)}, {0, 1, NodeId(16)}},  // node past the cluster
+  };
+  for (const std::vector<Assignment>& assignments : bad_plans) {
+    PlacementPlan plan;
+    plan.lra_placed = {true};
+    plan.assignments = assignments;
+    std::vector<bool> committed;
+    EXPECT_FALSE(CommitPlan(problem, plan, state_, &committed));
+    EXPECT_FALSE(committed[0]);
+    EXPECT_EQ(state_.num_containers(), 0u);
+  }
+  // An assignment naming no LRA of the problem fails the plan; the LRA it
+  // does not belong to still commits.
+  PlacementPlan plan;
+  plan.lra_placed = {true};
+  plan.assignments = {{0, 0, NodeId(0)}, {0, 1, NodeId(1)}, {1, 0, NodeId(2)}};
+  std::vector<bool> committed;
+  EXPECT_FALSE(CommitPlan(problem, plan, state_, &committed));
+  EXPECT_TRUE(committed[0]);
+  EXPECT_EQ(state_.num_containers(), 2u);
+}
+
 TEST_F(SchedulerTest, YarnIsDeterministicPerSeed) {
   SchedulerConfig config = SmallConfig();
   config.seed = 7;

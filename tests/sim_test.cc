@@ -313,6 +313,31 @@ class PinnedToNodeZero : public LraScheduler {
   std::string name() const override { return "pinned0"; }
 };
 
+TEST(SimulationTest, FailoverGiveUpIsNotARejectedSubmission) {
+  // Two 16 GB nodes hold one 12 GB container each. When node 0 fails, its
+  // container cannot be re-placed on node 1, so the failover gives up after
+  // max_lra_attempts cycles: the app is degraded, but its one submission
+  // was placed, not rejected.
+  SimConfig config = SmallSimConfig();
+  config.num_nodes = 2;
+  config.num_racks = 1;
+  config.num_upgrade_domains = 1;
+  config.num_service_units = 1;
+  Simulation sim(config, SmallIlp());
+  sim.SubmitLraAt(0, MakeGenericLra(ApplicationId(1), sim.manager().tags(), 2, "big",
+                                    Resource(12 * 1024, 4)));
+  sim.RunUntil(10000);
+  ASSERT_TRUE(sim.IsPlaced(ApplicationId(1)));
+  sim.NodeDownAt(15000, NodeId(0));
+  sim.RunUntilQuiescent();
+  EXPECT_EQ(sim.metrics().lra_containers_lost, 1);
+  EXPECT_EQ(sim.metrics().failover_replacements, 0);
+  EXPECT_EQ(sim.metrics().lra_resubmissions, config.max_lra_attempts - 1);
+  EXPECT_EQ(sim.metrics().lras_placed, 1);
+  EXPECT_EQ(sim.metrics().lras_rejected, 0);
+  EXPECT_EQ(sim.state().ContainersOf(ApplicationId(1)).size(), 1u);
+}
+
 TEST(ConflictPolicyTest, KillTasksEvictsAndPlaces) {
   SimConfig config = SmallSimConfig();
   config.conflict_policy = ConflictPolicy::kKillTasks;

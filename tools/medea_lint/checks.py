@@ -331,12 +331,18 @@ def check_lock_order(ctx: Context) -> list[Diagnostic]:
     # underlying primitive; its internals are the locking *mechanism*, not
     # ordering edges.
     wrapper_classes = {"Mutex", "MutexLock", "CondVar"}
+    # Class members from every scanned file: a member function defined in a
+    # .cc resolves the members its class declares in a header.
+    all_members: dict[str, dict[str, str]] = {}
+    for fm in ctx.files:
+        for qual, members in fm.class_members.items():
+            all_members.setdefault(qual, members)
     for fm in ctx.files:
         for fn in fm.functions:
             if fn.class_qual.split("::")[-1] in wrapper_classes:
                 continue
             key = _fn_key(fn.class_qual, fn.name)
-            acq, sites = _scan_function(fm, fn, edges)
+            acq, sites = _scan_function(fm, fn, edges, all_members)
             summaries.setdefault(key, set()).update(acq)
             calls.setdefault(key, []).extend(sites)
 
@@ -403,15 +409,21 @@ def _fn_key(class_qual: str, name: str) -> str:
     return f"{cls}::{name}" if cls else name
 
 
-def _scan_function(fm: FileModel, fn, edges: list[_Edge]):
+def _scan_function(fm: FileModel, fn, edges: list[_Edge],
+                   all_members: dict[str, dict[str, str]]):
     """Walks one function body tracking the held-mutex set per brace scope.
     Appends direct acquisition edges to `edges`; returns (direct_acquires,
-    call_sites)."""
+    call_sites). Class members resolve from the function's own file first,
+    then from `all_members` (every scanned file)."""
     code = fm.code
     cls = fn.scope.enclosing_class()
+    short = fn.class_qual.split("::")[-1]
     members = dict(fm.class_members.get(fn.class_qual)
-                   or fm.class_members.get(fn.class_qual.split("::")[-1])
-                   or (cls.members if cls is not None else {}))
+                   or fm.class_members.get(short)
+                   or (cls.members if cls is not None else {})
+                   or (all_members.get(fn.class_qual) if fn.class_qual else None)
+                   or (all_members.get(short) if short else None)
+                   or {})
     resolvable = dict(members)
     resolvable.update(_param_types(code, fn))
 
